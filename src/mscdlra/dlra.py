@@ -19,6 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import (
+    SUPPORT_TOL,
     Dictionary,
     MixingOperator,
     SparseCodes,
@@ -27,10 +28,12 @@ from .linalg import (
     spectral_norm_sq,
     support_from_values,
 )
-from .prox import hard_threshold_k, nonneg_soft_threshold, soft_threshold
+from .prox import hard_threshold_columns
 from .solvers import (
     StoppingRule,
+    _alpha_vector,
     _fista_core,
+    _l1_prox_penalty,
     _truncate_support,
     debias,
     omp,
@@ -97,6 +100,15 @@ class TunerConfig:
     def __post_init__(self):
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
+        a = np.asarray(self.alpha0, dtype=float)
+        if a.ndim > 1 or not np.all((a >= 0) & (a <= 1)):
+            raise ValueError("alpha0 must lie in [0, 1], as a scalar or one per column")
+        if not self.decrease_factor >= 1:
+            raise ValueError("decrease_factor must be at least 1")
+        if not self.increase_factor >= 1:
+            raise ValueError("increase_factor must be at least 1")
+        if self.max_tuner_rounds < 0:
+            raise ValueError("max_tuner_rounds must be nonnegative")
 
 
 @dataclass
@@ -152,10 +164,6 @@ def _projected_gradient_factor(Ymat, A, F0, inner_iters=50, ridge=_INNER_RIDGE):
     return F
 
 
-def _sparsity_window_ok(nnz, k, tau):
-    return all(k <= c <= k + tau for c in nnz)
-
-
 def _tuned_fista(Ymat, Dm, U, sigma_d_sq, op, alpha, k, tau, X_warm, stop,
                  nonneg, tuner):
     """Inner convex solve re-run until each column lands in [k, k + tau].
@@ -168,39 +176,23 @@ def _tuned_fista(Ymat, Dm, U, sigma_d_sq, op, alpha, k, tau, X_warm, stop,
     lam_max = np.abs(M).max(axis=0)
     eta = 1.0 / (sigma_d_sq * op.spectral_norm_sq())
     normY_sq = float(np.einsum("ij,ij->", Ymat, Ymat))
-    r = op.n_cols
     X = np.array(X_warm, dtype=float)
     alpha = np.array(alpha, dtype=float)
 
     rounds = 0
     while True:
-        lam = alpha * lam_max
-        if nonneg:
-            def prox(V):
-                return np.column_stack(
-                    [nonneg_soft_threshold(V[:, i], eta * lam[i]) for i in range(r)]
-                )
-        else:
-            def prox(V):
-                return np.column_stack(
-                    [soft_threshold(V[:, i], eta * lam[i]) for i in range(r)]
-                )
-
-        def penalty(Xc):
-            return float(lam @ np.abs(Xc).sum(axis=0))
-
+        prox, penalty = _l1_prox_penalty(eta, alpha * lam_max, nonneg)
         X, _, _, _ = _fista_core(U, G, M, normY_sq, prox, penalty, X, eta, stop)
-        nnz = [len(s) for s in support_from_values(X)]
-        if _sparsity_window_ok(nnz, k, tau):
+        nnz = np.count_nonzero(np.abs(X) > SUPPORT_TOL, axis=0)
+        if np.all((k <= nnz) & (nnz <= k + tau)):
             return X, alpha, False
         rounds += 1
         if rounds > tuner.max_tuner_rounds:
             return X, alpha, True
-        for i in range(r):
-            if nnz[i] <= k:
-                alpha[i] /= tuner.decrease_factor
-            elif nnz[i] >= k + tau:
-                alpha[i] = min(tuner.increase_factor * alpha[i], 1.0)
+        low = nnz <= k
+        high = ~low & (nnz >= k + tau)
+        alpha[low] /= tuner.decrease_factor
+        alpha[high] = np.minimum(tuner.increase_factor * alpha[high], 1.0)
 
 
 def _model_cost(data, model, X_codes, B, C=None, X1_codes=None):
@@ -245,6 +237,8 @@ def ao_dlra(data, model, tuner=None, l_max=100, init=None, seed=0, stop=None):
     -------
     DlraReport
     """
+    if l_max < 1:
+        raise ValueError("l_max must be at least 1")
     tuner = tuner or TunerConfig()
     stop = stop or StoppingRule()
     init = init or random_init(data, model, seed)
@@ -266,8 +260,7 @@ def ao_dlra(data, model, tuner=None, l_max=100, init=None, seed=0, stop=None):
     B = np.array(init["B"], dtype=float)
     X_raw = np.array(init["X"], dtype=float)
     X_codes = SparseCodes.from_values(X_raw)
-    alpha = np.full(r, float(tuner.alpha0)) if np.isscalar(tuner.alpha0) \
-        else np.array(tuner.alpha0, dtype=float)
+    alpha = _alpha_vector(tuner.alpha0, r)
 
     if model.mode1 is not None:
         D2 = model.mode1.dictionary.matrix
@@ -276,7 +269,7 @@ def ao_dlra(data, model, tuner=None, l_max=100, init=None, seed=0, stop=None):
         X1_raw = np.array(init["X1"], dtype=float)
         X1_codes = SparseCodes.from_values(X1_raw)
         B = D2 @ X1_codes.values
-        alpha1 = np.full(r, float(tuner.alpha0))
+        alpha1 = _alpha_vector(tuner.alpha0, r)
     else:
         X1_codes = None
 
@@ -371,11 +364,7 @@ def _exact_kr_ls(unfolded, F1, F2, ridge=_INNER_RIDGE):
 
 
 def _sparse_project(V, k, nonneg):
-    cols = []
-    for i in range(V.shape[1]):
-        v = np.maximum(V[:, i], 0.0) if nonneg else V[:, i]
-        cols.append(hard_threshold_k(v, k))
-    return np.column_stack(cols)
+    return hard_threshold_columns(np.maximum(V, 0.0) if nonneg else V, k)
 
 
 def ipalm(data, model, k=None, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
@@ -390,6 +379,8 @@ def ipalm(data, model, k=None, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e
     """
     if mu > 1.0 or mu <= 0.0:
         raise ValueError("stepsize safeguard mu must lie in (0, 1]")
+    if l_max < 1:
+        raise ValueError("l_max must be at least 1")
     k = model.mode0.k if k is None else k
     init = init or random_init(data, model, seed)
     r = model.rank

@@ -257,8 +257,8 @@ def canonical_support(S, d):
 
 def support_from_values(X, tol=SUPPORT_TOL):
     """Per-column index sets of entries with magnitude above ``tol``."""
-    Xm = np.asarray(X, dtype=float)
-    return [np.flatnonzero(np.abs(Xm[:, i]) > tol) for i in range(Xm.shape[1])]
+    mask = np.abs(np.asarray(X, dtype=float)) > tol
+    return [np.flatnonzero(m) for m in mask.T]
 
 
 @dataclass(frozen=True)
@@ -270,12 +270,9 @@ class SparseCodes:
 
     @classmethod
     def from_values(cls, values, tol=SUPPORT_TOL):
-        V = np.array(values, dtype=float)
-        S = support_from_values(V, tol)
-        clean = np.zeros_like(V)
-        for i, idx in enumerate(S):
-            clean[idx, i] = V[idx, i]
-        return cls(clean, S)
+        V = np.asarray(values, dtype=float)
+        mask = np.abs(V) > tol
+        return cls(np.where(mask, V, 0.0), [np.flatnonzero(m) for m in mask.T])
 
     @classmethod
     def zeros(cls, d, r):
@@ -290,25 +287,21 @@ class SparseCodes:
 
 
 def _assemble_normal_system(Dm, U, V, N, S):
-    """Blockwise Gram matrix and right-hand side of the fixed-support system."""
-    sizes = [len(s) for s in S]
-    total = sum(sizes)
-    offs = np.cumsum([0] + sizes)
-    G = np.empty((total, total))
-    g = np.empty(total)
-    for i, Si in enumerate(S):
-        if sizes[i] == 0:
-            continue
-        g[offs[i]:offs[i + 1]] = Dm[:, Si].T @ N[:, i]
-        for j, Sj in enumerate(S):
-            if sizes[j] == 0:
-                continue
-            if U is not None:
-                Uij = U[np.ix_(Si, Sj)]
-            else:
-                Uij = Dm[:, Si].T @ Dm[:, Sj]
-            G[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = V[i, j] * Uij
-    return G, g, offs
+    """Gram matrix and right-hand side of the fixed-support system.
+
+    The unknowns are the support entries taken column by column; block
+    ``(i, j)`` of the Gram matrix is ``V[i, j] * (D^T D)[S_i, S_j]``.
+    Also returns the row and the code column of each unknown.
+    """
+    idx = np.concatenate(S)
+    col = np.repeat(np.arange(len(S)), [len(s) for s in S])
+    if U is not None:
+        Usub = U[np.ix_(idx, idx)]
+    else:
+        Usub = np.block([[Dm[:, Si].T @ Dm[:, Sj] for Sj in S] for Si in S])
+    G = V[np.ix_(col, col)] * Usub
+    g = np.concatenate([Dm[:, Si].T @ N[:, i] for i, Si in enumerate(S)])
+    return G, g, idx, col
 
 
 def fixed_support_ls(Y, D, B, S, ridge=0.0, auto_ridge=True):
@@ -356,7 +349,7 @@ def fixed_support_ls(Y, D, B, S, ridge=0.0, auto_ridge=True):
     U = Dm.T @ Dm if d * d <= 1e8 else None
     V = op.gram()
     N = op.data_product(Ym)
-    G, g, offs = _assemble_normal_system(Dm, U, V, N, S)
+    G, g, idx, col = _assemble_normal_system(Dm, U, V, N, S)
 
     eff_ridge = ridge
     if auto_ridge:
@@ -375,8 +368,7 @@ def fixed_support_ls(Y, D, B, S, ridge=0.0, auto_ridge=True):
         z, *_ = np.linalg.lstsq(A, g, rcond=None)
 
     X = np.zeros((d, r))
-    for i, Si in enumerate(S):
-        X[Si, i] = z[offs[i]:offs[i + 1]]
+    X[idx, col] = z
     return SparseCodes.from_values(X)
 
 

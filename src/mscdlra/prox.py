@@ -13,28 +13,28 @@ def hard_threshold_k(x, k):
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError("hard_threshold_k expects a vector")
-    if not 0 <= k <= v.size:
-        raise ValueError(f"k={k} outside [0, {v.size}]")
-    out = np.zeros_like(v)
-    if k == 0:
-        return out
-    keep = np.argsort(-np.abs(v), kind="stable")[:k]
-    out[keep] = v[keep]
-    return out
+    return hard_threshold_columns(v[:, None], k)[:, 0]
 
 
 def hard_threshold_columns(X, k):
-    """Columnwise hard thresholding of a matrix."""
+    """Columnwise :func:`hard_threshold_k` of a matrix, same tie-break."""
     Xm = np.asarray(X, dtype=float)
+    if Xm.ndim != 2:
+        raise ValueError("hard_threshold_columns expects a matrix")
+    if not 0 <= k <= Xm.shape[0]:
+        raise ValueError(f"k={k} outside [0, {Xm.shape[0]}]")
     out = np.zeros_like(Xm)
-    for i in range(Xm.shape[1]):
-        out[:, i] = hard_threshold_k(Xm[:, i], k)
+    keep = np.argsort(-np.abs(Xm), axis=0, kind="stable")[:k]
+    np.put_along_axis(out, keep, np.take_along_axis(Xm, keep, axis=0), axis=0)
     return out
 
 
 def soft_threshold(x, lam):
-    """Elementwise shrinkage ``sign(x) * max(|x| - lam, 0)``."""
-    if lam < 0:
+    """Elementwise shrinkage ``sign(x) * max(|x| - lam, 0)``.
+
+    ``lam`` broadcasts against ``x``: a scalar, or one value per column.
+    """
+    if (np.asarray(lam) < 0).any():
         raise ValueError("threshold must be nonnegative")
     v = np.asarray(x, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
@@ -46,8 +46,9 @@ def project_nonneg(X):
 
 
 def nonneg_soft_threshold(X, lam):
-    """``max(X - lam, 0)``, the nonnegative counterpart of shrinkage."""
-    if lam < 0:
+    """``max(X - lam, 0)``, the nonnegative counterpart of shrinkage;
+    ``lam`` broadcasts as in :func:`soft_threshold`."""
+    if (np.asarray(lam) < 0).any():
         raise ValueError("threshold must be nonnegative")
     return np.maximum(np.asarray(X, dtype=float) - lam, 0.0)
 

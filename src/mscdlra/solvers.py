@@ -29,6 +29,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .linalg import (
+    _RIDGE_SCALE,
     SparseCodes,
     _assemble_normal_system,
     as_matrix,
@@ -41,14 +42,13 @@ from .linalg import (
     support_from_values,
 )
 from .prox import (
-    hard_threshold_k,
+    hard_threshold_columns,
     nonneg_soft_threshold,
     prox_l11,
     soft_threshold,
 )
 
 _PRECOMPUTE_LIMIT = 1e8
-_RIDGE_SCALE = 1e-10
 _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
 
 
@@ -279,7 +279,7 @@ def iht(Y, D, B, k, X0=None, stop=None, ridge=0.0):
     termination = "max_iter"
     for _ in range(stop.max_iter):
         V = Z - eta * (U @ Z @ G - M)
-        X_new = np.column_stack([hard_threshold_k(V[:, i], k) for i in range(r)])
+        X_new = hard_threshold_columns(V, k)
         beta_old = beta
         beta = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * beta**2))
         Z = X_new + ((beta_old - 1.0) / beta) * (X_new - X)
@@ -310,8 +310,9 @@ def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
     An update that would increase the cost is rejected and replaced by a
     least-squares refit on the column's previous support, so the cost
     trace never increases. The run ends when the per-sweep relative
-    decrease is below tolerance, or with a warning when every column is
-    rejected in the same sweep. A joint fixed-support refit finishes the
+    decrease is below tolerance (an unchanged sweep included), or with a
+    warning when every column is rejected in a sweep that still lowered
+    the cost through refits. A joint fixed-support refit finishes the
     estimate.
 
     With ``X0=None`` the sweeps start from ``X = 0``, and right after the
@@ -408,14 +409,14 @@ def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
                 rejections = 0
         iterations += 1
         trace.append(cost)
+        if stop.done(trace[-2], trace[-1]):
+            termination = "tolerance"
+            break
         if rejections == r:
             termination = "restart_all_columns"
             warnings.warn(
                 "every column update was rejected in one sweep", RuntimeWarning
             )
-            break
-        if stop.done(trace[-2], trace[-1]):
-            termination = "tolerance"
             break
     codes = fixed_support_ls(Ym, Dm, op, support_from_values(X), ridge=ridge)
     final = residual_cost(Ym, Dm, codes, op)
@@ -485,9 +486,7 @@ def _fista_core(U, G, M, normY_sq, prox, penalty, X0, eta, stop):
 
 def _truncate_support(X, k):
     """Supports of the columnwise top-k magnitudes of ``X``."""
-    return support_from_values(
-        np.column_stack([hard_threshold_k(X[:, i], k) for i in range(X.shape[1])])
-    )
+    return support_from_values(hard_threshold_columns(X, k))
 
 
 def fixed_support_nnls(Y, D, B, S, ridge=0.0):
@@ -506,15 +505,14 @@ def fixed_support_nnls(Y, D, B, S, ridge=0.0):
     if sum(sizes) == 0:
         return SparseCodes.zeros(d, r)
     U = Dm.T @ Dm if d * d <= 1e8 else None
-    G, g, offs = _assemble_normal_system(Dm, U, op.gram(), op.data_product(Ym), S)
+    G, g, idx, col = _assemble_normal_system(Dm, U, op.gram(), op.data_product(Ym), S)
     eff = max(ridge, _RIDGE_SCALE * np.trace(G) / G.shape[0])
     A = G + eff * np.eye(G.shape[0])
     L = scipy.linalg.cholesky(A, lower=False)
     b = scipy.linalg.solve_triangular(L, g, trans="T", lower=False)
     z, _ = scipy.optimize.nnls(L, b)
     X = np.zeros((d, r))
-    for i, Si in enumerate(S):
-        X[Si, i] = z[offs[i]:offs[i + 1]]
+    X[idx, col] = z
     return SparseCodes.from_values(X)
 
 
@@ -535,6 +533,21 @@ def debias(Y, D, B, S, k, nonneg=False, ridge=0.0):
         full = solve(Ym, Dm, op, S, ridge=ridge)
         S = _truncate_support(full.values, k)
     return solve(Ym, Dm, op, S, ridge=ridge)
+
+
+def _l1_prox_penalty(eta, lam, nonneg):
+    """Prox (shrinkage at ``eta * lam``) and penalty of the columnwise
+    l1 term ``sum_i lam_i ||X_i||_1``, nonnegative when ``nonneg``."""
+    shrink = nonneg_soft_threshold if nonneg else soft_threshold
+    level = eta * lam
+
+    def prox(V):
+        return shrink(V, level)
+
+    def penalty(X):
+        return float(lam @ np.abs(X).sum(axis=0))
+
+    return prox, penalty
 
 
 def _alpha_vector(alpha, r):
@@ -571,20 +584,7 @@ def block_fista(Y, D, B, alpha, k, X0=None, stop=None, nonneg=False, ridge=0.0):
     normY_sq = float(np.einsum("ij,ij->", Ym, Ym))
     X0 = np.zeros((d, r)) if X0 is None else np.array(X0, dtype=float)
 
-    if nonneg:
-        def prox(V):
-            return np.column_stack(
-                [nonneg_soft_threshold(V[:, i], eta * lam[i]) for i in range(r)]
-            )
-    else:
-        def prox(V):
-            return np.column_stack(
-                [soft_threshold(V[:, i], eta * lam[i]) for i in range(r)]
-            )
-
-    def penalty(X):
-        return float(lam @ np.abs(X).sum(axis=0))
-
+    prox, penalty = _l1_prox_penalty(eta, lam, nonneg)
     X, trace, iterations, termination = _fista_core(
         U, G, M, normY_sq, prox, penalty, X0, eta, stop
     )

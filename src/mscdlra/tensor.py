@@ -11,9 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import khatri_rao
-
-_MATERIALIZE_LIMIT = 1_000_000
+from .linalg import _MATERIALIZE_LIMIT, khatri_rao
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,38 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             TunerConfig(tau=-1)
 
+    @pytest.mark.parametrize(
+        "setting, value",
+        [
+            ("alpha0", -1e-3),
+            ("alpha0", 1.5),
+            ("alpha0", [1e-2, -1e-2]),
+            ("alpha0", float("nan")),
+            ("decrease_factor", 0.9),
+            ("increase_factor", 0.99),
+            ("max_tuner_rounds", -1),
+        ],
+    )
+    def test_tuner_rejects_bad_setting(self, setting, value):
+        with pytest.raises(ValueError, match=setting):
+            TunerConfig(**{setting: value})
+
+    @pytest.mark.filterwarnings("ignore:.*round cap")
+    def test_per_column_ratios_reach_both_constrained_modes(self):
+        T, D, X, B, C = make_dcpd_instance(n=10, m1=9, m2=4, d=14, r=2, k=2, seed=47)
+        D2 = gaussian_dictionary(9, 14, 46)
+        model = DlraModel("cpd", 2, ModeDictionary(D, 2), ModeDictionary(D2, 2))
+        tuner = TunerConfig(alpha0=[1e-2, 2e-2], tau=4)
+        rep = ao_dlra(T, model, tuner, l_max=2, seed=1)
+        assert len(rep.alpha_trace) == 2
+
+    @pytest.mark.parametrize("fit", [ao_dlra, ipalm])
+    def test_l_max_below_one_rejected(self, fit):
+        Y, D, X, B = make_dmf_instance(n=8, m=7, d=10, r=2, k=2, seed=55)
+        model = DlraModel("matrix_factorization", 2, ModeDictionary(D, 2))
+        with pytest.raises(ValueError, match="l_max"):
+            fit(Y, model, l_max=0)
+
 
 class TestAoDlra:
     def test_fixed_point_at_ground_truth(self):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,18 @@ class TestHomp:
             rep = homp(inst["Y"], inst["D"], inst["B"], 2)
             trace = rep.cost_trace
             assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+    def test_unchanged_sweep_ends_at_tolerance_without_warning(self):
+        # the start rule's codes are column-wise optimal here, so the next
+        # sweep rejects every recode and leaves the cost unchanged
+        inst = gen_msc_instance(
+            n=10, m=9, d=16, k=2, r=3, snr_db=10.0, cond_b=50.0, seed=2005,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = homp(inst["Y"], inst["D"], inst["B"], 2)
+        assert rep.termination == "tolerance"
+        assert rep.cost_trace[-2] == rep.cost_trace[-3]
 
     def test_near_exhaustive_for_tiny_problems(self):
         hits = 0
