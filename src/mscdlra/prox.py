@@ -53,23 +53,11 @@ def nonneg_soft_threshold(X, lam):
     return np.maximum(np.asarray(X, dtype=float) - lam, 0.0)
 
 
-def _l1_shrink_level(abs_desc, cumsum, target):
-    """Shrinkage amount mapping a column onto the l1 ball of radius ``target``.
-
-    ``abs_desc`` holds the column magnitudes sorted decreasingly and
-    ``cumsum`` their cumulative sums. Returns mu >= 0 such that
-    ``sum(max(abs - mu, 0)) == target`` (0 when the column already fits).
-    """
-    if abs_desc.size == 0 or cumsum[-1] <= target:
-        return 0.0
-    j = np.arange(1, abs_desc.size + 1)
-    mu_cand = (cumsum - target) / j
-    rho = np.flatnonzero(abs_desc > mu_cand)[-1]
-    return float(mu_cand[rho])
-
-
 def _shrink_levels(abs_sorted, cums, target):
-    """Columnwise version of :func:`_l1_shrink_level` on (d, r) arrays."""
+    """Shrinkage amounts mapping each column onto the l1 ball of radius
+    ``target``, from (d, r) magnitudes sorted decreasingly per column and
+    their cumulative sums: mu >= 0 with ``sum(max(abs - mu, 0)) == target``
+    per column (0 where the column already fits)."""
     d = abs_sorted.shape[0]
     j = np.arange(1, d + 1)[:, None]
     mu_cand = (cums - target) / j
@@ -81,41 +69,57 @@ def _shrink_levels(abs_sorted, cums, target):
     return mu
 
 
-def prox_l11(X, lam, tol=1e-10):
+def prox_l11(X, lam):
     """Proximal operator of ``lam * max_i ||X_i||_1``.
 
-    Bisection on the shared column l1 level ``t``: at the optimum every
-    column whose l1 norm exceeds ``t`` is shrunk onto the l1 ball of
-    radius ``t``, and ``t`` solves ``sum_i mu_i(t) = lam`` where
-    ``mu_i(t)`` is the per-column shrinkage amount. The bisection runs
-    until the bracket on ``t`` is below ``tol``.
+    At the optimum every column whose l1 norm exceeds a shared level
+    ``t`` is shrunk onto the l1 ball of radius ``t``, where ``t`` solves
+    ``g(t) = sum_i mu_i(t) = lam`` and ``mu_i(t)`` is the per-column
+    shrinkage amount. With the magnitudes ``a`` of a column sorted
+    decreasingly and ``c`` their cumulative sums, ``mu_i`` is linear with
+    slope ``-1/rho`` between the breakpoints ``c_j - j a_j`` (j = 2..d),
+    where its active count ``rho`` grows to j, and ``c_d``, where it
+    vanishes. One sort of all breakpoints locates the segment on which
+    ``g`` falls to ``lam``, and ``t`` follows there in closed form. By
+    Moreau's identity this is the l1,inf-ball projection of Quattoni,
+    Carreras, Collins & Darrell (2009).
     """
     Xm = np.asarray(X, dtype=float)
     if Xm.ndim != 2:
         raise ValueError("prox_l11 expects a matrix")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if lam == 0.0 or Xm.size == 0:
         return Xm.copy()
 
     abs_sorted = np.sort(np.abs(Xm), axis=0)[::-1]
     cums = np.cumsum(abs_sorted, axis=0)
     sum_inf = float(abs_sorted[0].sum())
-    # the zero region is detected with a relative slack far below the
-    # bisection resolution, so boundary thresholds scaled by a stepsize
-    # still map exactly to zero
+    # the zero region is detected with a relative slack, so boundary
+    # thresholds scaled by a stepsize still map exactly to zero
     if lam >= sum_inf * (1.0 - 1e-12):
         return np.zeros_like(Xm)
 
-    lo, hi = 0.0, float(cums[-1].max())
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _shrink_levels(abs_sorted, cums, mid).sum() > lam:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
+    d, r = Xm.shape
+    j = np.arange(1.0, d + 1.0)[:, None]
+    knots = np.vstack([(cums - j * abs_sorted)[1:], cums[-1:]])
+    rises = np.vstack([np.repeat(1.0 / j[:-1] - 1.0 / j[1:], r, axis=1),
+                       np.full((1, r), 1.0 / d)])
+    # stable: among equal knots a c_d comes last, so the last knot is
+    # where the widest column leaves and g reaches 0
+    order = np.argsort(knots, axis=None, kind="stable")
+    tau = knots.ravel()[order]
+    # g starts at sum_inf with slope -r; the slope of each segment is -r
+    # plus the rises of the breakpoints passed before it
+    slope = -r + np.concatenate(([0.0], np.cumsum(rises.ravel()[order])[:-1]))
+    below = sum_inf + np.cumsum(slope * np.diff(tau, prepend=0.0)) <= lam
+    below[-1] = True  # rounding may leave g there above a tiny lam
+    passed = np.zeros(d * r, dtype=bool)
+    passed[order[:np.argmax(below)]] = True
+    passed = passed.reshape(d, r)
+    rho = 1 + passed[:-1].sum(axis=0)
+    active = ~passed[-1]
+    c_rho = cums[rho - 1, np.arange(r)]
+    t = ((c_rho / rho)[active].sum() - lam) / (1.0 / rho[active]).sum()
     mu = _shrink_levels(abs_sorted, cums, t)
     return np.sign(Xm) * np.maximum(np.abs(Xm) - mu, 0.0)

@@ -67,6 +67,8 @@ class StoppingRule:
     def __post_init__(self):
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be nonnegative")
 
     def done(self, prev, cur):
         if prev == 0.0:
@@ -244,6 +246,11 @@ def _precompute(Ym, Dm, op):
     return U, G, M
 
 
+def _check_sparsity(k, d):
+    if not 1 <= k <= d:
+        raise ValueError(f"sparsity level k={k} must lie in [1, {d}]")
+
+
 def _stepsize(Dm, op, sigma_d_sq=None):
     sd = spectral_norm_sq(Dm) if sigma_d_sq is None else sigma_d_sq
     return 1.0 / (sd * op.spectral_norm_sq())
@@ -264,10 +271,9 @@ def iht(Y, D, B, k, X0=None, stop=None, ridge=0.0):
     Dm = dict_matrix(D)
     op = as_mixing(B)
     Ym = as_matrix(Y, "Y")
-    if k < 1:
-        raise ValueError("sparsity level k must be at least 1")
     stop = stop or StoppingRule()
     d, r = Dm.shape[1], op.n_cols
+    _check_sparsity(k, d)
     X = np.zeros((d, r)) if X0 is None else np.array(X0, dtype=float)
     U, G, M = _precompute(Ym, Dm, op)
     eta = _stepsize(Dm, op)
@@ -577,6 +583,7 @@ def block_fista(Y, D, B, alpha, k, X0=None, stop=None, nonneg=False, ridge=0.0):
     Ym = as_matrix(Y, "Y")
     stop = stop or StoppingRule()
     d, r = Dm.shape[1], op.n_cols
+    _check_sparsity(k, d)
     alpha = _alpha_vector(alpha, r)
     U, G, M = _precompute(Ym, Dm, op)
     lam = alpha * np.abs(M).max(axis=0)
@@ -603,9 +610,10 @@ def mixed_fista(Y, D, B, alpha, k, X0=None, stop=None, ridge=0.0):
     """Accelerated proximal gradient for the max-of-column-l1 relaxation.
 
     A single ratio ``alpha`` in [0, 1] scales the maximum regularization
-    (see :func:`lambda_max_mixed`); the proximal step uses the exact
-    bisection operator :func:`mscdlra.prox.prox_l11`. Support extraction
-    and debiasing follow :func:`block_fista`.
+    (see :func:`lambda_max_mixed`); the proximal step is
+    :func:`mscdlra.prox.prox_l11`, which finds the shared column level
+    exactly by one sort of its breakpoints. Support extraction and
+    debiasing follow :func:`block_fista`.
     """
     t0 = time.perf_counter()
     Dm = dict_matrix(D)
@@ -613,6 +621,7 @@ def mixed_fista(Y, D, B, alpha, k, X0=None, stop=None, ridge=0.0):
     Ym = as_matrix(Y, "Y")
     stop = stop or StoppingRule()
     d, r = Dm.shape[1], op.n_cols
+    _check_sparsity(k, d)
     if not np.isscalar(alpha):
         raise ValueError("alpha must be a scalar ratio")
     if alpha < 0 or alpha > 1:
@@ -624,7 +633,7 @@ def mixed_fista(Y, D, B, alpha, k, X0=None, stop=None, ridge=0.0):
     X0 = np.zeros((d, r)) if X0 is None else np.array(X0, dtype=float)
 
     def prox(V):
-        return prox_l11(V, eta * lam, tol=1e-10)
+        return prox_l11(V, eta * lam)
 
     def penalty(X):
         return lam * float(np.abs(X).sum(axis=0).max()) if X.size else 0.0

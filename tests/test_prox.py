@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mscdlra.prox import (
+    _shrink_levels,
     hard_threshold_columns,
     hard_threshold_k,
     nonneg_soft_threshold,
@@ -34,6 +38,39 @@ def subgradient_prox_oracle(X, lam, iters=4000):
             best_obj = obj
             best = Z.copy()
     return best, best_obj
+
+
+def l1_shrink_level(abs_desc, cumsum, target):
+    """Scalar reference: shrinkage amount mapping one column, with
+    magnitudes ``abs_desc`` sorted decreasingly and cumulative sums
+    ``cumsum``, onto the l1 ball of radius ``target`` (0 when it fits)."""
+    if abs_desc.size == 0 or cumsum[-1] <= target:
+        return 0.0
+    j = np.arange(1, abs_desc.size + 1)
+    mu_cand = (cumsum - target) / j
+    rho = np.flatnonzero(abs_desc > mu_cand)[-1]
+    return float(mu_cand[rho])
+
+
+def bisection_prox_l11(X, lam, tol=1e-13):
+    """Reference prox of ``lam * max_i ||X_i||_1``: bisection on the shared
+    column level until the bracket is below ``tol`` relative to its upper
+    end, with the zero region of :func:`prox_l11`."""
+    A = np.sort(np.abs(X), axis=0)[::-1]
+    C = np.cumsum(A, axis=0)
+    if lam == 0.0:
+        return X.copy()
+    if lam >= A[0].sum() * (1.0 - 1e-12):
+        return np.zeros_like(X)
+    lo, hi = 0.0, float(C[-1].max())
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if _shrink_levels(A, C, mid).sum() > lam:
+            lo = mid
+        else:
+            hi = mid
+    mu = _shrink_levels(A, C, 0.5 * (lo + hi))
+    return np.sign(X) * np.maximum(np.abs(X) - mu, 0.0)
 
 
 class TestHardThreshold:
@@ -117,8 +154,6 @@ class TestNonnegOps:
 
 class TestShrinkLevels:
     def test_vectorized_matches_scalar_reference(self):
-        from mscdlra.prox import _l1_shrink_level, _shrink_levels
-
         rng = np.random.default_rng(9)
         for _ in range(100):
             d = int(rng.integers(1, 15))
@@ -128,12 +163,10 @@ class TestShrinkLevels:
             C = np.cumsum(A, axis=0)
             t = float(rng.uniform(1e-6, C[-1].max() * 1.2))
             vec = _shrink_levels(A, C, t)
-            ref = [_l1_shrink_level(A[:, i], C[:, i], t) for i in range(r)]
+            ref = [l1_shrink_level(A[:, i], C[:, i], t) for i in range(r)]
             np.testing.assert_allclose(vec, ref, atol=1e-12)
 
     def test_shrink_amount_realizes_target(self):
-        from mscdlra.prox import _shrink_levels
-
         rng = np.random.default_rng(10)
         X = rng.standard_normal((12, 4))
         A = np.sort(np.abs(X), axis=0)[::-1]
@@ -189,3 +222,45 @@ class TestProxL11:
         rng = np.random.default_rng(8)
         X = rng.standard_normal((3, 2))
         np.testing.assert_array_equal(prox_l11(X, 0.0), X)
+
+
+@st.composite
+def integer_matrices_with_lam(draw):
+    """Integer-valued (d, r) matrices, so that magnitudes tie, with some
+    columns zeroed, and a level up to 1.2 times the zero-region edge."""
+    d = draw(st.integers(1, 120))
+    r = draw(st.integers(1, 8))
+    X = draw(arrays(float, (d, r), elements=st.integers(-6, 6).map(float)))
+    X[:, draw(arrays(bool, (r,)))] = 0.0
+    lam = draw(st.floats(0.0, 1.2)) * float(np.abs(X).max(axis=0).sum())
+    return X, lam
+
+
+class TestProxL11Properties:
+    @given(integer_matrices_with_lam())
+    def test_matches_bisection_reference(self, case):
+        X, lam = case
+        scale = max(1.0, float(np.abs(X).sum(axis=0).max()))
+        diff = np.abs(prox_l11(X, lam) - bisection_prox_l11(X, lam)).max()
+        assert diff <= 1e-9 * scale
+
+    @given(integer_matrices_with_lam())
+    def test_kkt_conditions(self, case):
+        X, lam = case
+        Z = prox_l11(X, lam)
+        sum_inf = float(np.abs(X).max(axis=0).sum())
+        if lam >= sum_inf * (1.0 - 1e-12):
+            assert not Z.any()
+            return
+        scale = max(1.0, float(np.abs(X).sum(axis=0).max()))
+        tol = 1e-9 * scale
+        x_l1, z_l1 = np.abs(X).sum(axis=0), np.abs(Z).sum(axis=0)
+        t = z_l1.max()
+        # each column is X_i soft-thresholded by its shrink amount mu_i
+        mu = np.abs(X).max(axis=0) - np.abs(Z).max(axis=0)
+        np.testing.assert_allclose(Z, soft_threshold(X, mu), rtol=0, atol=tol)
+        assert abs(mu.sum() - lam) <= tol
+        shrunk = mu > 0
+        np.testing.assert_allclose(z_l1[shrunk], t, rtol=0, atol=tol)
+        assert (x_l1[~shrunk] <= t + tol).all()
+        np.testing.assert_array_equal(Z[:, ~shrunk], X[:, ~shrunk])

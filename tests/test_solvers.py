@@ -521,6 +521,22 @@ class TestInvariants:
 def test_stopping_rule_validation():
     with pytest.raises(ValueError):
         StoppingRule(rel_tol=0.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        StoppingRule(max_iter=-1)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda Y, D, B, k: iht(Y, D, B, k),
+    lambda Y, D, B, k: block_fista(Y, D, B, 0.1, k),
+    lambda Y, D, B, k: mixed_fista(Y, D, B, 0.1, k),
+], ids=["iht", "block_fista", "mixed_fista"])
+@pytest.mark.parametrize("k", [0, 19, 40])
+def test_sparsity_outside_dictionary_size_rejected(solve, k):
+    inst = gen_msc_instance(
+        n=12, m=10, d=18, k=2, r=3, snr_db=20.0, cond_b=10.0, seed=13
+    )
+    with pytest.raises(ValueError, match=rf"k={k} must lie in \[1, 18\]"):
+        solve(inst["Y"], inst["D"], inst["B"], k)
 
 
 def test_supports_have_at_most_k_entries_after_threshold():
