@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     SUPPORT_TOL,
@@ -34,11 +33,23 @@ from .solvers import (
     _alpha_vector,
     _fista_core,
     _l1_prox_penalty,
+    _omp_columns,
+    _penalized_objective,
+    _stepsize,
     _truncate_support,
     debias,
-    omp,
 )
-from .tensor import _hals_factor, as_tensor3, khatri_rao, unfold1, unfold2, unfold3
+from .tensor import (
+    _exact_ls_factor,
+    _hals_factor,
+    _update_factor,
+    as_tensor3,
+    cpd_als,
+    khatri_rao,
+    unfold1,
+    unfold2,
+    unfold3,
+)
 
 _KINDS = ("matrix_factorization", "nonneg_matrix_factorization", "cpd", "nonneg_cpd")
 _INNER_RIDGE = 1e-12
@@ -146,13 +157,6 @@ def random_init(data, model, seed):
     return init
 
 
-def _ls_factor(Ymat, A, ridge=_INNER_RIDGE):
-    """Minimizer of ``||Ymat - A F^T||`` over F, with a small ridge."""
-    G = A.T @ A + ridge * np.eye(A.shape[1])
-    cf = scipy.linalg.cho_factor(G, lower=True)
-    return scipy.linalg.cho_solve(cf, A.T @ Ymat).T
-
-
 def _projected_gradient_factor(Ymat, A, F0, inner_iters=50, ridge=_INNER_RIDGE):
     """Nonnegative update of F in ``||Ymat - A F^T||`` by projected gradient."""
     G = A.T @ A
@@ -174,7 +178,7 @@ def _tuned_fista(Ymat, Dm, U, sigma_d_sq, op, alpha, k, tau, X_warm, stop,
     G = op.gram()
     M = Dm.T @ op.data_product(Ymat)
     lam_max = np.abs(M).max(axis=0)
-    eta = 1.0 / (sigma_d_sq * op.spectral_norm_sq())
+    eta = _stepsize(Dm, op, sigma_d_sq)
     normY_sq = float(np.einsum("ij,ij->", Ymat, Ymat))
     X = np.array(X_warm, dtype=float)
     alpha = np.array(alpha, dtype=float)
@@ -182,7 +186,8 @@ def _tuned_fista(Ymat, Dm, U, sigma_d_sq, op, alpha, k, tau, X_warm, stop,
     rounds = 0
     while True:
         prox, penalty = _l1_prox_penalty(eta, alpha * lam_max, nonneg)
-        X, _, _, _ = _fista_core(U, G, M, normY_sq, prox, penalty, X, eta, stop)
+        objective = _penalized_objective(normY_sq, U, G, M, penalty)
+        X, _, _, _ = _fista_core(U, G, M, prox, objective, X, eta, stop)
         nnz = np.count_nonzero(np.abs(X) > SUPPORT_TOL, axis=0)
         if np.all((k <= nnz) & (nnz <= k + tau)):
             return X, alpha, False
@@ -195,14 +200,87 @@ def _tuned_fista(Ymat, Dm, U, sigma_d_sq, op, alpha, k, tau, X_warm, stop,
         alpha[high] = np.minimum(tuner.increase_factor * alpha[high], 1.0)
 
 
-def _model_cost(data, model, X_codes, B, C=None, X1_codes=None):
-    Dm = model.mode0.dictionary.matrix
-    A = Dm @ (X_codes.values if isinstance(X_codes, SparseCodes) else X_codes)
+class _ModeCoder:
+    """State and coding step of one dictionary-constrained mode of
+    :func:`ao_dlra`: its raw iterate, ratios and debiased codes."""
+
+    def __init__(self, mode, X_init, alpha0, r):
+        self.mode = mode
+        self.D = mode.dictionary.matrix
+        self.U = self.D.T @ self.D
+        self.sigma_d_sq = spectral_norm_sq(self.D)
+        self.X_raw = np.array(X_init, dtype=float)
+        self.codes = SparseCodes.from_values(self.X_raw)
+        self.alpha = _alpha_vector(alpha0, r)
+
+    def update(self, Ymat, op, stop, tuner):
+        """Run the tuned convex solve, take the support of its iterate (the
+        top-``k`` truncation when the tuner hit its round cap) and refit
+        the codes there. Returns whether the cap was hit."""
+        k, nonneg = self.mode.k, self.mode.nonneg
+        self.X_raw, self.alpha, capped = _tuned_fista(
+            Ymat, self.D, self.U, self.sigma_d_sq, op, self.alpha, k, tuner.tau,
+            self.X_raw, stop, nonneg, tuner,
+        )
+        X = self.X_raw
+        S = _truncate_support(X, k) if capped else support_from_values(X)
+        self.codes = debias(Ymat, self.D, op, S, k, nonneg=nonneg, ridge=_INNER_RIDGE)
+        return capped
+
+
+def _fit_data(data, model, init):
+    """The mode-0 data matrix, the mode-1 and mode-2 unfoldings of a
+    tensor and the starting factors B and C (``None`` where absent)."""
+    B = np.array(init["B"], dtype=float)
+    if not model.is_tensor:
+        return as_matrix(data), None, None, B, None
+    T = as_tensor3(data)
+    return unfold1(T), unfold2(T), unfold3(T), B, np.array(init["C"], dtype=float)
+
+
+def _tensor_factor_updates(update, A, B, C, Y2, Y3, update_b):
+    """Update B (when ``update_b``) and then C of a tensor model, each by
+    ``update(F, gram, mttkrp)`` from its Khatri-Rao Gram and MTTKRP."""
+    if update_b:
+        B = update(B, (A.T @ A) * (C.T @ C), Y2 @ khatri_rao(A, C))
+    C = update(C, (A.T @ A) * (B.T @ B), Y3 @ khatri_rao(A, B))
+    return B, C
+
+
+def _model_cost(data, model, X_codes, B, C=None):
+    A = model.mode0.dictionary.matrix @ X_codes.values
     if not model.is_tensor:
         R = data - A @ B.T
         return float(np.einsum("ij,ij->", R, R))
     R = data - np.einsum("il,jl,kl->ijk", A, B, C)
     return float(np.einsum("ijk,ijk->", R, R))
+
+
+class _BestIterate:
+    """Lowest-cost iterate of a fit, replaced only on a strictly lower cost."""
+
+    def __init__(self):
+        self.cost = None
+
+    def offer(self, cost, codes, B, C):
+        if self.cost is not None and not cost < self.cost:
+            return
+        self.cost = cost
+        self.codes = codes
+        self.factors = {"B": B.copy()}
+        if C is not None:
+            self.factors["C"] = C.copy()
+
+    def report(self, cost_trace, alpha_trace, iterations, notes):
+        return DlraReport(
+            best_codes=self.codes,
+            best_factors=self.factors,
+            best_cost=self.cost,
+            cost_trace=cost_trace,
+            alpha_trace=alpha_trace,
+            iterations=iterations,
+            notes=notes,
+        )
 
 
 def ao_dlra(data, model, tuner=None, l_max=100, init=None, seed=0, stop=None):
@@ -242,132 +320,72 @@ def ao_dlra(data, model, tuner=None, l_max=100, init=None, seed=0, stop=None):
     tuner = tuner or TunerConfig()
     stop = stop or StoppingRule()
     init = init or random_init(data, model, seed)
-    r = model.rank
-    Dm = model.mode0.dictionary.matrix
-    U0 = Dm.T @ Dm
-    sigma_d0 = spectral_norm_sq(Dm)
-    k0, tau = model.mode0.k, tuner.tau
-    nonneg0 = model.mode0.nonneg
-
-    is_tensor = model.is_tensor
-    if is_tensor:
-        T = as_tensor3(data)
-        Y1, Y2, Y3 = unfold1(T), unfold2(T), unfold3(T)
-        C = np.array(init["C"], dtype=float)
-    else:
-        Y = as_matrix(data)
-        C = None
-    B = np.array(init["B"], dtype=float)
-    X_raw = np.array(init["X"], dtype=float)
-    X_codes = SparseCodes.from_values(X_raw)
-    alpha = _alpha_vector(tuner.alpha0, r)
-
+    Ymat, Y2, Y3, B, C = _fit_data(data, model, init)
+    coders = [_ModeCoder(model.mode0, init["X"], tuner.alpha0, model.rank)]
     if model.mode1 is not None:
-        D2 = model.mode1.dictionary.matrix
-        U1 = D2.T @ D2
-        sigma_d1 = spectral_norm_sq(D2)
-        X1_raw = np.array(init["X1"], dtype=float)
-        X1_codes = SparseCodes.from_values(X1_raw)
-        B = D2 @ X1_codes.values
-        alpha1 = _alpha_vector(tuner.alpha0, r)
-    else:
-        X1_codes = None
+        coders.append(_ModeCoder(model.mode1, init["X1"], tuner.alpha0, model.rank))
+        B = coders[1].D @ coders[1].codes.values
 
-    best = None
+    def update_factor(F, gram, mtt):
+        return _update_factor(F, gram, mtt, model.nonneg, _INNER_RIDGE)
+
+    best = _BestIterate()
     cost_trace = []
     alpha_trace = []
     notes = []
     for l in range(1, l_max + 1):
-        A = Dm @ X_codes.values
+        A = coders[0].D @ coders[0].codes.values
         # unconstrained block updates
-        if not is_tensor:
-            if model.nonneg:
-                B = _projected_gradient_factor(Y, A, B)
-            else:
-                B = _ls_factor(Y, A)
+        if model.is_tensor:
+            B, C = _tensor_factor_updates(
+                update_factor, A, B, C, Y2, Y3, model.mode1 is None
+            )
+        elif model.nonneg:
+            B = _projected_gradient_factor(Ymat, A, B)
         else:
-            if model.mode1 is None:
-                if model.nonneg:
-                    B = _hals_factor(B, (A.T @ A) * (C.T @ C), Y2 @ khatri_rao(A, C))
-                else:
-                    B = _exact_kr_ls(Y2, A, C)
-            if model.nonneg:
-                C = _hals_factor(C, (A.T @ A) * (B.T @ B), Y3 @ khatri_rao(A, B))
-            else:
-                C = _exact_kr_ls(Y3, A, B)
+            B = _exact_ls_factor(A.T @ A, (A.T @ Ymat).T, _INNER_RIDGE)
 
         # second constrained mode
         if model.mode1 is not None:
-            op1 = MixingOperator(A, C)
-            X1_raw, alpha1, warned1 = _tuned_fista(
-                Y2, D2, U1, sigma_d1, op1, alpha1, model.mode1.k, tau,
-                X1_raw, stop, model.mode1.nonneg, tuner,
-            )
-            if warned1:
+            if coders[1].update(Y2, MixingOperator(A, C), stop, tuner):
                 notes.append(f"iteration {l}: mode-1 tuner hit the round cap")
-                S1 = _truncate_support(X1_raw, model.mode1.k)
-            else:
-                S1 = support_from_values(X1_raw)
-            X1_codes = debias(
-                Y2, D2, op1, S1, model.mode1.k,
-                nonneg=model.mode1.nonneg, ridge=_INNER_RIDGE,
-            )
-            B = D2 @ X1_codes.values
+            B = coders[1].D @ coders[1].codes.values
 
         # constrained mode 0
-        op0 = MixingOperator(B) if not is_tensor else MixingOperator(B, C)
-        Ymat = Y if not is_tensor else Y1
-        X_raw, alpha, warned = _tuned_fista(
-            Ymat, Dm, U0, sigma_d0, op0, alpha, k0, tau, X_raw, stop,
-            nonneg0, tuner,
-        )
-        if warned:
+        if coders[0].update(Ymat, MixingOperator(B, C), stop, tuner):
             notes.append(f"iteration {l}: tuner hit the round cap")
-            S0 = _truncate_support(X_raw, k0)
-        else:
-            S0 = support_from_values(X_raw)
-        X_codes = debias(Ymat, Dm, op0, S0, k0, nonneg=nonneg0, ridge=_INNER_RIDGE)
 
-        cost = _model_cost(data, model, X_codes, B, C, X1_codes)
+        cost = _model_cost(data, model, coders[0].codes, B, C)
         cost_trace.append(cost)
-        alpha_trace.append(alpha.copy())
-        if best is None or cost < best["cost"]:
-            best = {
-                "cost": cost,
-                "codes": {0: X_codes},
-                "factors": {"B": B.copy()},
-            }
-            if is_tensor:
-                best["factors"]["C"] = C.copy()
-            if X1_codes is not None:
-                best["codes"][1] = X1_codes
+        alpha_trace.append(coders[0].alpha.copy())
+        best.offer(cost, {i: coder.codes for i, coder in enumerate(coders)}, B, C)
 
     if notes:
         warnings.warn(notes[-1], RuntimeWarning)
-    return DlraReport(
-        best_codes=best["codes"],
-        best_factors=best["factors"],
-        best_cost=best["cost"],
-        cost_trace=cost_trace,
-        alpha_trace=alpha_trace,
-        iterations=l_max,
-        notes=notes,
-    )
-
-
-def _exact_kr_ls(unfolded, F1, F2, ridge=_INNER_RIDGE):
-    """Minimizer of ``||unfolded - F (F1 kr F2)^T||`` over F."""
-    G = (F1.T @ F1) * (F2.T @ F2) + ridge * np.eye(F1.shape[1])
-    M = unfolded @ khatri_rao(F1, F2)
-    cf = scipy.linalg.cho_factor(G, lower=True)
-    return scipy.linalg.cho_solve(cf, M.T).T
+    return best.report(cost_trace, alpha_trace, l_max, notes)
 
 
 def _sparse_project(V, k, nonneg):
     return hard_threshold_columns(np.maximum(V, 0.0) if nonneg else V, k)
 
 
-def ipalm(data, model, k=None, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
+def _gradient_factor_step(F, gram, mtt, mu, nonneg):
+    """Projected gradient step on F in ``||Y - F K^T||`` with the
+    Frobenius-norm stepsize ``mu / ||K^T K||``."""
+    eta = mu / max(np.linalg.norm(gram), np.finfo(float).tiny)
+    F = F - eta * (F @ gram - mtt)
+    return np.maximum(F, 0.0) if nonneg else F
+
+
+def _inertial_code_step(X, Z, mode, U, eps_d, G, M, mu, beta):
+    """Inertial hard-thresholding step on the codes of one constrained
+    mode; returns the new iterate and its extrapolation."""
+    eta = mu / max(eps_d * np.linalg.norm(G), np.finfo(float).tiny)
+    X_new = _sparse_project(Z - eta * (U @ Z @ G - M), mode.k, mode.nonneg)
+    return X_new, X_new + beta * (X_new - X)
+
+
+def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
     """Inertial proximal alternating minimization for the same models.
 
     Alternates a projected gradient step on each unconstrained factor
@@ -381,107 +399,62 @@ def ipalm(data, model, k=None, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e
         raise ValueError("stepsize safeguard mu must lie in (0, 1]")
     if l_max < 1:
         raise ValueError("l_max must be at least 1")
-    k = model.mode0.k if k is None else k
     init = init or random_init(data, model, seed)
-    r = model.rank
-    Dm = model.mode0.dictionary.matrix
-    U0 = Dm.T @ Dm
-    eps_d0 = float(np.linalg.norm(U0))
-    nonneg0 = model.mode0.nonneg
-
-    is_tensor = model.is_tensor
-    if is_tensor:
-        T = as_tensor3(data)
-        Y1, Y2, Y3 = unfold1(T), unfold2(T), unfold3(T)
-        C = np.array(init["C"], dtype=float)
-        if model.nonneg:
-            C = np.maximum(C, 0.0)
-    else:
-        Y = as_matrix(data)
-        C = None
-    B = np.array(init["B"], dtype=float)
+    Ymat, Y2, Y3, B, C = _fit_data(data, model, init)
     if model.nonneg:
         B = np.maximum(B, 0.0)
+        if C is not None:
+            C = np.maximum(C, 0.0)
 
-    X = _sparse_project(np.array(init["X"], dtype=float), k, nonneg0)
-    Z = X.copy()
+    def start(mode, key):
+        """Dictionary, its Gram matrix and norm, and the projected start."""
+        Dmat = mode.dictionary.matrix
+        U = Dmat.T @ Dmat
+        X = _sparse_project(np.array(init[key], dtype=float), mode.k, mode.nonneg)
+        return Dmat, U, float(np.linalg.norm(U)), X, X.copy()
+
+    Dm, U0, eps_d0, X, Z = start(model.mode0, "X")
     if model.mode1 is not None:
-        D2 = model.mode1.dictionary.matrix
-        U1 = D2.T @ D2
-        eps_d1 = float(np.linalg.norm(U1))
-        X1 = _sparse_project(
-            np.array(init["X1"], dtype=float), model.mode1.k, model.mode1.nonneg
-        )
-        Z1 = X1.copy()
+        D2, U1, eps_d1, X1, Z1 = start(model.mode1, "X1")
         B = D2 @ X1
-    else:
-        X1 = None
 
-    def current_cost():
-        codes = SparseCodes.from_values(X)
-        x1_codes = None if X1 is None else SparseCodes.from_values(X1)
-        return _model_cost(data, model, codes, B, C, x1_codes)
+    def update_factor(F, gram, mtt):
+        return _gradient_factor_step(F, gram, mtt, mu, model.nonneg)
 
-    best = None
-    cost_trace = [current_cost()]
-    iterations = 0
+    best = _BestIterate()
+    cost_trace = [_model_cost(data, model, SparseCodes.from_values(X), B, C)]
     for l in range(1, l_max + 1):
         A = Dm @ X
         beta = (l - 1.0) / (l + 2.0)
         # unconstrained factor steps
-        if not is_tensor:
-            G_A = A.T @ A
-            eta_b = mu / max(np.linalg.norm(G_A), np.finfo(float).tiny)
-            B = B - eta_b * (B @ G_A - Y.T @ A)
-            if model.nonneg:
-                B = np.maximum(B, 0.0)
+        if model.is_tensor:
+            B, C = _tensor_factor_updates(
+                update_factor, A, B, C, Y2, Y3, model.mode1 is None
+            )
         else:
-            if model.mode1 is None:
-                G_ac = (A.T @ A) * (C.T @ C)
-                eta_b = mu / max(np.linalg.norm(G_ac), np.finfo(float).tiny)
-                B = B - eta_b * (B @ G_ac - Y2 @ khatri_rao(A, C))
-                if model.nonneg:
-                    B = np.maximum(B, 0.0)
-            G_ab = (A.T @ A) * (B.T @ B)
-            eta_c = mu / max(np.linalg.norm(G_ab), np.finfo(float).tiny)
-            C = C - eta_c * (C @ G_ab - Y3 @ khatri_rao(A, B))
-            if model.nonneg:
-                C = np.maximum(C, 0.0)
+            B = update_factor(B, A.T @ A, Ymat.T @ A)
 
-        # second constrained mode, inertial hard-thresholding step
+        # second constrained mode
         if model.mode1 is not None:
             G1 = (A.T @ A) * (C.T @ C)
             M1 = D2.T @ (Y2 @ khatri_rao(A, C))
-            eta1 = mu / max(eps_d1 * np.linalg.norm(G1), np.finfo(float).tiny)
-            X1_old = X1
-            X1 = _sparse_project(
-                Z1 - eta1 * (U1 @ Z1 @ G1 - M1), model.mode1.k, model.mode1.nonneg
+            X1, Z1 = _inertial_code_step(
+                X1, Z1, model.mode1, U1, eps_d1, G1, M1, mu, beta
             )
-            Z1 = X1 + beta * (X1 - X1_old)
             B = D2 @ X1
 
-        # constrained mode 0, inertial hard-thresholding step
-        op0 = MixingOperator(B) if not is_tensor else MixingOperator(B, C)
-        G0 = op0.gram()
-        Ymat = Y if not is_tensor else Y1
+        # constrained mode 0
+        op0 = MixingOperator(B, C)
         M0 = Dm.T @ op0.data_product(Ymat)
-        eta0 = mu / max(eps_d0 * np.linalg.norm(G0), np.finfo(float).tiny)
-        X_old = X
-        X = _sparse_project(Z - eta0 * (U0 @ Z @ G0 - M0), k, nonneg0)
-        Z = X + beta * (X - X_old)
+        X, Z = _inertial_code_step(
+            X, Z, model.mode0, U0, eps_d0, op0.gram(), M0, mu, beta
+        )
 
-        iterations = l
-        cost_trace.append(current_cost())
-        if best is None or cost_trace[-1] < best["cost"]:
-            best = {
-                "cost": cost_trace[-1],
-                "codes": {0: SparseCodes.from_values(X)},
-                "factors": {"B": B.copy()},
-            }
-            if is_tensor:
-                best["factors"]["C"] = C.copy()
-            if X1 is not None:
-                best["codes"][1] = SparseCodes.from_values(X1)
+        codes = {0: SparseCodes.from_values(X)}
+        if model.mode1 is not None:
+            codes[1] = SparseCodes.from_values(X1)
+        cost_trace.append(_model_cost(data, model, codes[0], B, C))
+        best.offer(cost_trace[-1], codes, B, C)
         prev, cur = cost_trace[-2], cost_trace[-1]
         if prev == 0.0:
             if cur == 0.0:
@@ -489,14 +462,7 @@ def ipalm(data, model, k=None, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e
         elif abs(cur - prev) / prev < rel_tol:
             break
 
-    return DlraReport(
-        best_codes=best["codes"],
-        best_factors=best["factors"],
-        best_cost=best["cost"],
-        cost_trace=cost_trace,
-        alpha_trace=[],
-        iterations=iterations,
-    )
+    return best.report(cost_trace, [], l, [])
 
 
 def _nmf_hals(Y, r, iters=200, seed=0, rel_tol=1e-8):
@@ -525,10 +491,7 @@ def init_by_lra(data, model, seed=0, lra_iters=100):
     OMP to produce columnwise k-sparse starting codes.
     """
     r = model.rank
-    D = model.mode0.dictionary
     if model.is_tensor:
-        from .tensor import cpd_als
-
         factors, _ = cpd_als(
             as_tensor3(data), r, iters=lra_iters, nonneg=model.nonneg, seed=seed
         )
@@ -537,23 +500,19 @@ def init_by_lra(data, model, seed=0, lra_iters=100):
         Y = as_matrix(data)
         if model.nonneg:
             A0, B0 = _nmf_hals(Y, r, iters=lra_iters, seed=seed)
+        elif r > min(Y.shape):
+            raise ValueError(f"rank {r} exceeds the SVD rank of data of shape {Y.shape}")
         else:
             U, s, Vt = np.linalg.svd(Y, full_matrices=False)
             A0 = U[:, :r] * s[:r]
             B0 = Vt[:r].T
         C0 = None
 
-    X0 = np.column_stack(
-        [omp(A0[:, i], D, model.mode0.k)[0] for i in range(r)]
-    )
-    init = {"X": X0, "B": B0}
+    init = {"X": _omp_columns(A0, model.mode0.dictionary, model.mode0.k), "B": B0}
     if C0 is not None:
         init["C"] = C0
     if model.mode1 is not None:
-        D2 = model.mode1.dictionary
-        init["X1"] = np.column_stack(
-            [omp(B0[:, i], D2, model.mode1.k)[0] for i in range(r)]
-        )
+        init["X1"] = _omp_columns(B0, model.mode1.dictionary, model.mode1.k)
     return init
 
 

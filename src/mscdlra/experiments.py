@@ -32,11 +32,11 @@ from .dlra import (
 from .linalg import normalize_columns, support_from_values
 from .solvers import (
     StoppingRule,
+    _omp_columns,
     block_fista,
     homp,
     iht,
     mixed_fista,
-    omp,
     trick_omp,
 )
 from .synth import (
@@ -228,27 +228,6 @@ def _write_meta(out_dir, config, alphas):
             fh.write(f"alpha_resolved.{solver}={a}\n")
 
 
-def _resolve_alphas(config):
-    """One regularization ratio per convex solver, tuned or taken as given."""
-    needs = [s for s in config.solvers
-             if s in ("block_fista", "mixed_fista", "block_fista_nn")]
-    if not needs:
-        return {}
-    if config.alpha != "auto":
-        return {s: float(config.alpha) for s in needs}
-    params = dict(
-        n=config.n, m=config.m, d=config.d, k=config.k, r=config.r,
-        snr_db=config.snr_db, cond_b=config.cond_b,
-        nonneg=config.test_name == "nn_compare",
-    )
-    solver_ids = {"block_fista": 1, "mixed_fista": 2, "block_fista_nn": 3}
-    alphas = {}
-    for s in needs:
-        base = "block_fista" if s == "block_fista_nn" else s
-        alphas[s] = auto_alpha(params, base, derive_seed(config.seed, solver_ids[s]))
-    return alphas
-
-
 def _run_msc_solver(name, Y, D, B, k, alpha, X0=None, stop=None):
     stop = stop or StoppingRule()
     if name == "trick_omp":
@@ -277,17 +256,11 @@ def _msc_rows(config, alphas, instance_seed, param, inst, k, X0=None,
             X0=X0, stop=stop,
         )
         wall = time.perf_counter() - t0
-        rows.append({
-            "test": config.test_name,
-            "param": param,
-            "solver": name,
-            "instance_seed": instance_seed,
-            "init_seed": init_seed,
-            "recovery_pct": support_recovery(rep.codes.support, inst["X"].support),
-            "rel_error": rel_error(inst["X"].values, rep.codes.values),
-            "iterations": rep.iterations,
-            "wall_time": wall,
-        })
+        rows.append(_row(
+            config, param, name, instance_seed, init_seed,
+            support_recovery(rep.codes.support, inst["X"].support),
+            rel_error(inst["X"].values, rep.codes.values), rep.iterations, wall,
+        ))
     return rows
 
 
@@ -317,10 +290,8 @@ def _execute_cell(args):
             X0=X0, init_seed=cell.get("init_seed", 0),
             solvers=cell.get("solvers"),
         )
-    if kind == "dmf_synth":
-        return _dmf_synth_cell(config, cell)
-    if kind == "dcpd_synth":
-        return _dcpd_synth_cell(config, cell)
+    if kind in ("dmf_synth", "dcpd_synth"):
+        return _dlra_synth_cell(config, cell)
     if kind == "completion":
         return _completion_cell(config, cell)
     if kind == "denoise":
@@ -343,43 +314,6 @@ def _row(config, param, solver, instance_seed, init_seed, recovery, err,
     }
 
 
-def _dmf_synth_cell(config, cell):
-    seed = cell["instance_seed"]
-    inst = gen_msc_instance(
-        config.n, config.m, config.d, config.k, config.r,
-        config.snr_db, config.cond_b, seed,
-    )
-    model = DlraModel(
-        "matrix_factorization", config.r, ModeDictionary(inst["D"], config.k)
-    )
-    tuner = TunerConfig(alpha0=float(config.alpha), tau=config.tau)
-    init = random_init(inst["Y"], model, derive_seed(seed, 7))
-    rows = []
-    for strategy in config.solvers:
-        t0 = time.perf_counter()
-        if strategy == "ao_random":
-            rep = ao_dlra(inst["Y"], model, tuner, l_max=config.l_max, init=init)
-        elif strategy == "ipalm_random":
-            rep = ipalm(inst["Y"], model, l_max=config.ipalm_iters,
-                        mu=config.mu, init=init)
-        elif strategy == "ao_ipalm_init":
-            warm = ipalm(inst["Y"], model, l_max=config.ipalm_iters,
-                         mu=config.mu, init=init)
-            init2 = {"X": warm.best_codes[0].values, "B": warm.best_factors["B"]}
-            rep = ao_dlra(inst["Y"], model, tuner, l_max=config.l_max, init=init2)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        wall = time.perf_counter() - t0
-        codes = rep.best_codes[0]
-        recon = inst["D"].matrix @ codes.values @ rep.best_factors["B"].T
-        rows.append(_row(
-            config, "default", strategy, seed, 0,
-            support_recovery(codes.support, inst["X"].support, match_columns=True),
-            rel_error(inst["Y_clean"], recon), rep.iterations, wall,
-        ))
-    return rows
-
-
 def _gen_dcpd_instance(config, seed):
     D = gen_dictionary(config.n, config.d, derive_seed(seed, 0))
     B = gen_mixing(config.m1, config.r, config.cond_b, derive_seed(seed, 1))
@@ -390,65 +324,62 @@ def _gen_dcpd_instance(config, seed):
     return {"T": T, "T_clean": T_clean, "D": D, "B": B, "C": C, "X": X}
 
 
-def _dcpd_synth_cell(config, cell):
+def _dlra_synth_cell(config, cell):
+    """One synthetic DLRA instance (DMF for ``dmf_synth``, DCPD for
+    ``dcpd_synth``) fitted by every strategy of the config."""
     seed = cell["instance_seed"]
-    inst = _gen_dcpd_instance(config, seed)
-    model = DlraModel("cpd", config.r, ModeDictionary(inst["D"], config.k))
+    is_tensor = config.test_name == "dcpd_synth"
+    if is_tensor:
+        inst = _gen_dcpd_instance(config, seed)
+        data, clean, kind = inst["T"], inst["T_clean"], "cpd"
+    else:
+        inst = gen_msc_instance(
+            config.n, config.m, config.d, config.k, config.r,
+            config.snr_db, config.cond_b, seed,
+        )
+        data, clean, kind = inst["Y"], inst["Y_clean"], "matrix_factorization"
+    model = DlraModel(kind, config.r, ModeDictionary(inst["D"], config.k))
     tuner = TunerConfig(alpha0=float(config.alpha), tau=config.tau)
-    init = random_init(inst["T"], model, derive_seed(seed, 7))
+    init = random_init(data, model, derive_seed(seed, 7))
+
+    def fit(start):
+        return ao_dlra(data, model, tuner, l_max=config.l_max, init=start)
+
+    def run_ipalm():
+        return ipalm(data, model, l_max=config.ipalm_iters, mu=config.mu, init=init)
+
     rows = []
     for strategy in config.solvers:
         t0 = time.perf_counter()
-        if strategy == "ao_random":
-            rep = ao_dlra(inst["T"], model, tuner, l_max=config.l_max, init=init)
-        elif strategy == "ipalm_random":
-            rep = ipalm(inst["T"], model, l_max=config.ipalm_iters,
-                        mu=config.mu, init=init)
-        elif strategy == "ao_ipalm_init":
-            warm = ipalm(inst["T"], model, l_max=config.ipalm_iters,
-                         mu=config.mu, init=init)
-            init2 = {
-                "X": warm.best_codes[0].values,
-                "B": warm.best_factors["B"],
-                "C": warm.best_factors["C"],
-            }
-            rep = ao_dlra(inst["T"], model, tuner, l_max=config.l_max, init=init2)
-        elif strategy == "ao_als_init":
-            init2 = init_by_lra(inst["T"], model, seed=derive_seed(seed, 8))
-            rep = ao_dlra(inst["T"], model, tuner, l_max=config.l_max, init=init2)
-        elif strategy == "sc_als":
+        if is_tensor and strategy == "sc_als":
             factors, trace = cpd_als(
-                inst["T"], config.r, iters=100, seed=derive_seed(seed, 8)
+                data, config.r, iters=100, seed=derive_seed(seed, 8)
             )
-            X_sc = np.column_stack([
-                omp(factors.A[:, i], inst["D"], config.k)[0]
-                for i in range(config.r)
-            ])
-            recon = np.einsum(
-                "il,jl,kl->ijk", inst["D"].matrix @ X_sc, factors.B, factors.C
-            )
-            rows.append(_row(
-                config, "default", strategy, seed, 0,
-                support_recovery(
-                    support_from_values(X_sc), inst["X"].support,
-                    match_columns=True,
-                ),
-                rel_error(inst["T_clean"], recon), len(trace) - 1,
-                time.perf_counter() - t0,
-            ))
-            continue
+            X = _omp_columns(factors.A, inst["D"], config.k)
+            support, iterations = support_from_values(X), len(trace) - 1
+            B, C = factors.B, factors.C
         else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+            if strategy == "ao_random":
+                rep = fit(init)
+            elif strategy == "ipalm_random":
+                rep = run_ipalm()
+            elif strategy == "ao_ipalm_init":
+                warm = run_ipalm()
+                rep = fit({"X": warm.best_codes[0].values, **warm.best_factors})
+            elif is_tensor and strategy == "ao_als_init":
+                rep = fit(init_by_lra(data, model, seed=derive_seed(seed, 8)))
+            else:
+                raise ValueError(f"unknown strategy {strategy!r}")
+            X, support = rep.best_codes[0].values, rep.best_codes[0].support
+            B, C = rep.best_factors["B"], rep.best_factors.get("C")
+            iterations = rep.iterations
         wall = time.perf_counter() - t0
-        codes = rep.best_codes[0]
-        recon = np.einsum(
-            "il,jl,kl->ijk", inst["D"].matrix @ codes.values,
-            rep.best_factors["B"], rep.best_factors["C"],
-        )
+        A = inst["D"].matrix @ X
+        recon = np.einsum("il,jl,kl->ijk", A, B, C) if is_tensor else A @ B.T
         rows.append(_row(
             config, "default", strategy, seed, 0,
-            support_recovery(codes.support, inst["X"].support, match_columns=True),
-            rel_error(inst["T_clean"], recon), rep.iterations, wall,
+            support_recovery(support, inst["X"].support, match_columns=True),
+            rel_error(clean, recon), iterations, wall,
         ))
     return rows
 
@@ -505,9 +436,7 @@ def _completion_cell(config, cell):
             iterations = rep.iterations
         elif strategy == "omp_bands":
             D_obs, scales = normalize_columns(inst["D"].matrix[obs])
-            X_bands = np.column_stack([
-                omp(Y_obs[:, j], D_obs, config.k)[0] for j in range(Y_obs.shape[1])
-            ]) / scales[:, None]
+            X_bands = _omp_columns(Y_obs, D_obs, config.k) / scales[:, None]
             Y_missing = inst["D"].matrix[missing] @ X_bands
             iterations = config.k
         else:
@@ -559,17 +488,11 @@ def _denoise_cell(config, cell):
             recon = cpd_reconstruct(factors)
             add(strategy, recon, len(trace) - 1, time.perf_counter() - t0)
         elif strategy in ("sc_hals_1", "sc_hals_2"):
-            A_sc = np.column_stack([
-                omp(factors.A[:, i], inst["D1"], config.k)[0]
-                for i in range(config.r)
-            ])
+            A_sc = _omp_columns(factors.A, inst["D1"], config.k)
             A_hat = inst["D1"].matrix @ A_sc
             B_hat = factors.B
             if strategy == "sc_hals_2":
-                B_sc = np.column_stack([
-                    omp(factors.B[:, i], inst["D2"], config.k2)[0]
-                    for i in range(config.r)
-                ])
+                B_sc = _omp_columns(factors.B, inst["D2"], config.k2)
                 B_hat = inst["D2"].matrix @ B_sc
             recon = np.einsum("il,jl,kl->ijk", A_hat, B_hat, factors.C)
             add(strategy, recon, 0, time.perf_counter() - t0)
@@ -582,12 +505,12 @@ def _denoise_cell(config, cell):
                 ModeDictionary(inst["D1"], config.k, nonneg=True), mode1,
             )
             init = {
-                "X": _code_init(factors.A, inst["D1"], config.k),
+                "X": _omp_columns(factors.A, inst["D1"], config.k),
                 "B": factors.B,
                 "C": factors.C,
             }
             if mode1 is not None:
-                init["X1"] = _code_init(factors.B, inst["D2"], config.k2)
+                init["X1"] = _omp_columns(factors.B, inst["D2"], config.k2)
             tuner = TunerConfig(alpha0=float(config.alpha), tau=config.tau)
             rep = ao_dlra(inst["T"], model, tuner, l_max=config.l_max, init=init)
             A_hat = inst["D1"].matrix @ rep.best_codes[0].values
@@ -604,10 +527,6 @@ def _denoise_cell(config, cell):
     return rows
 
 
-def _code_init(A, D, k):
-    return np.column_stack([omp(A[:, i], D, k)[0] for i in range(A.shape[1])])
-
-
 # ---------------------------------------------------------------------------
 # cell construction per protocol
 
@@ -618,20 +537,24 @@ def _build_cells(config, alphas):
     def inst_seed(*key):
         return derive_seed(master, *key)
 
+    def msc_point(param, instance_seed, **fields):
+        cell = {
+            "kind": "msc_point", "param": param, "instance_seed": instance_seed,
+            "n": config.n, "m": config.m, "d": config.d, "k": config.k,
+            "snr_db": config.snr_db, "cond_b": config.cond_b,
+        }
+        cell.update(fields)
+        return cell
+
     if config.test_name in ("noise_sweep", "nn_compare"):
         nonneg = config.test_name == "nn_compare"
         for si, snr in enumerate(config.snr_grid):
             point_alphas = _point_alphas(config, snr_db=snr)
             for i in range(config.n_instances):
-                cells.append({
-                    "kind": "msc_point",
-                    "param": f"snr_db={snr:g}",
-                    "instance_seed": inst_seed(si, i),
-                    "n": config.n, "m": config.m, "d": config.d,
-                    "k": config.k, "snr_db": snr, "cond_b": config.cond_b,
-                    "nonneg": nonneg,
-                    "alphas": point_alphas,
-                })
+                cells.append(msc_point(
+                    f"snr_db={snr:g}", inst_seed(si, i), snr_db=snr,
+                    nonneg=nonneg, alphas=point_alphas,
+                ))
     elif config.test_name == "kd_sweep":
         for k in config.k_grid:
             for d in config.d_grid:
@@ -639,74 +562,48 @@ def _build_cells(config, alphas):
                     continue
                 point_alphas = _point_alphas(config, k=int(k), d=int(d))
                 for i in range(config.n_instances):
-                    cells.append({
-                        "kind": "msc_point",
-                        "param": f"k={k};d={d}",
-                        "instance_seed": inst_seed(k, d, i),
-                        "n": config.n, "m": config.m, "d": d, "k": k,
-                        "snr_db": config.snr_db, "cond_b": config.cond_b,
-                        "alphas": point_alphas,
-                    })
+                    cells.append(msc_point(
+                        f"k={k};d={d}", inst_seed(k, d, i), d=d, k=k,
+                        alphas=point_alphas,
+                    ))
     elif config.test_name == "runtime_sweep":
         for n, m in config.nm_grid:
             for i in range(config.n_instances):
-                cells.append({
-                    "kind": "msc_point",
-                    "param": f"n={n};m={m};d={config.d};k={config.k}",
-                    "instance_seed": inst_seed(n, m, i),
-                    "n": n, "m": m, "d": config.d, "k": config.k,
-                    "snr_db": config.snr_db, "cond_b": config.cond_b,
-                })
+                cells.append(msc_point(
+                    f"n={n};m={m};d={config.d};k={config.k}", inst_seed(n, m, i),
+                    n=n, m=m,
+                ))
         for d, k in config.dk_grid:
             for i in range(config.n_instances):
-                cells.append({
-                    "kind": "msc_point",
-                    "param": f"n={config.n};m={config.m};d={d};k={k}",
-                    "instance_seed": inst_seed(d, k, 1000 + i),
-                    "n": config.n, "m": config.m, "d": d, "k": k,
-                    "snr_db": config.snr_db, "cond_b": config.cond_b,
-                })
+                cells.append(msc_point(
+                    f"n={config.n};m={config.m};d={d};k={k}",
+                    inst_seed(d, k, 1000 + i), d=d, k=k,
+                ))
     elif config.test_name == "cond_sweep":
         # instance seeds are shared across the grid so conditionings are
         # compared on paired problems
         for cond in config.cond_grid:
             point_alphas = _point_alphas(config, cond_b=cond)
             for i in range(config.n_instances):
-                cells.append({
-                    "kind": "msc_point",
-                    "param": f"cond_b={cond:g}",
-                    "instance_seed": inst_seed(i),
-                    "n": config.n, "m": config.m, "d": config.d,
-                    "k": config.k, "snr_db": config.snr_db, "cond_b": cond,
-                    "alphas": point_alphas,
-                })
+                cells.append(msc_point(
+                    f"cond_b={cond:g}", inst_seed(i), cond_b=cond,
+                    alphas=point_alphas,
+                ))
     elif config.test_name == "init_study":
         for i in range(config.n_instances):
             seed = inst_seed(i)
-            cells.append({
-                "kind": "msc_point", "param": "init=zero",
-                "instance_seed": seed, "init_seed": 0, "zero_init": True,
-                "n": config.n, "m": config.m, "d": config.d, "k": config.k,
-                "snr_db": config.snr_db, "cond_b": config.cond_b,
-            })
+            cells.append(msc_point("init=zero", seed, init_seed=0, zero_init=True))
             for t in range(config.n_inits):
-                cells.append({
-                    "kind": "msc_point", "param": "init=gauss",
-                    "instance_seed": seed, "init_seed": inst_seed(i, 1 + t),
-                    "n": config.n, "m": config.m, "d": config.d, "k": config.k,
-                    "snr_db": config.snr_db, "cond_b": config.cond_b,
-                })
+                cells.append(msc_point(
+                    "init=gauss", seed, init_seed=inst_seed(i, 1 + t)
+                ))
     elif config.test_name == "alpha_sensitivity":
         for i in range(config.n_instances):
             seed = inst_seed(i)
             for a in config.alpha_grid:
-                cells.append({
-                    "kind": "msc_point", "param": f"alpha={a:g}",
-                    "instance_seed": seed,
-                    "alphas": {s: a for s in config.solvers},
-                    "n": config.n, "m": config.m, "d": config.d, "k": config.k,
-                    "snr_db": config.snr_db, "cond_b": config.cond_b,
-                })
+                cells.append(msc_point(
+                    f"alpha={a:g}", seed, alphas={s: a for s in config.solvers},
+                ))
     elif config.test_name in ("dmf_synth", "dcpd_synth", "completion", "denoise"):
         for i in range(config.n_instances):
             cells.append({
@@ -764,7 +661,7 @@ def run_experiment(config, jobs=1, out_dir=None):
     # sweeps over parameter points tune their ratios per point inside
     # _build_cells; only the gridless protocols tune once globally
     if config.test_name in ("runtime_sweep", "init_study"):
-        alphas = _resolve_alphas(config)
+        alphas = _point_alphas(config)
     else:
         alphas = {}
     cells = _build_cells(config, alphas)

@@ -185,14 +185,6 @@ class MixingOperator:
         # full column rank is assumed by most solvers; flag when violated
         self.rank_deficient = self.min_singular_value <= 1e-12
 
-    @classmethod
-    def dense(cls, B):
-        return cls(B)
-
-    @classmethod
-    def from_khatri_rao(cls, B, C):
-        return cls(B, C)
-
     @property
     def shape(self):
         return (self.n_rows, self.n_cols)
@@ -304,6 +296,28 @@ def _assemble_normal_system(Dm, U, V, N, S):
     return G, g, idx, col
 
 
+def _solve_on_support(Y, D, B, S, ridge, solve):
+    """Validation, normal system and scatter shared by the fixed-support
+    solvers; ``solve(G, g)`` returns the unknowns of the system."""
+    Dm = dict_matrix(D)
+    op = as_mixing(B)
+    Ym = as_matrix(Y, "Y")
+    if ridge < 0:
+        raise ValueError("ridge must be nonnegative")
+    d = Dm.shape[1]
+    r = op.n_cols
+    if len(S) != r:
+        raise ValueError(f"support has {len(S)} columns, mixing has {r}")
+    S = canonical_support(S, d)
+    if sum(len(s) for s in S) == 0:
+        return SparseCodes.zeros(d, r)
+    U = Dm.T @ Dm if d * d <= 1e8 else None
+    G, g, idx, col = _assemble_normal_system(Dm, U, op.gram(), op.data_product(Ym), S)
+    X = np.zeros((d, r))
+    X[idx, col] = solve(G, g)
+    return SparseCodes.from_values(X)
+
+
 def fixed_support_ls(Y, D, B, S, ridge=0.0, auto_ridge=True):
     """Least-squares codes for a fixed support.
 
@@ -332,44 +346,25 @@ def fixed_support_ls(Y, D, B, S, ridge=0.0, auto_ridge=True):
     -------
     SparseCodes
     """
-    Dm = dict_matrix(D)
-    op = as_mixing(B)
-    Ym = as_matrix(Y, "Y")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
-    d = Dm.shape[1]
-    r = op.n_cols
-    if len(S) != r:
-        raise ValueError(f"support has {len(S)} columns, mixing has {r}")
-    S = canonical_support(S, d)
-    total = sum(len(s) for s in S)
-    if total == 0:
-        return SparseCodes.zeros(d, r)
 
-    U = Dm.T @ Dm if d * d <= 1e8 else None
-    V = op.gram()
-    N = op.data_product(Ym)
-    G, g, idx, col = _assemble_normal_system(Dm, U, V, N, S)
+    def solve(G, g):
+        eff_ridge = ridge
+        if auto_ridge:
+            cond = np.linalg.cond(G)
+            if not np.isfinite(cond) or cond > _COND_LIMIT:
+                eff_ridge = max(ridge, _RIDGE_SCALE * np.trace(G) / G.shape[0])
+        A = G if eff_ridge == 0.0 else G + eff_ridge * np.eye(G.shape[0])
+        try:
+            cf = scipy.linalg.cho_factor(A, lower=True)
+            return scipy.linalg.cho_solve(cf, g)
+        except scipy.linalg.LinAlgError as exc:
+            if eff_ridge == 0.0:
+                raise ValueError(
+                    "singular fixed-support system; pass ridge > 0 or enable auto_ridge"
+                ) from exc
+            return np.linalg.lstsq(A, g, rcond=None)[0]
 
-    eff_ridge = ridge
-    if auto_ridge:
-        cond = np.linalg.cond(G)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            eff_ridge = max(ridge, _RIDGE_SCALE * np.trace(G) / G.shape[0])
-    A = G if eff_ridge == 0.0 else G + eff_ridge * np.eye(G.shape[0])
-    try:
-        cf = scipy.linalg.cho_factor(A, lower=True)
-        z = scipy.linalg.cho_solve(cf, g)
-    except scipy.linalg.LinAlgError as exc:
-        if eff_ridge == 0.0:
-            raise ValueError(
-                "singular fixed-support system; pass ridge > 0 or enable auto_ridge"
-            ) from exc
-        z, *_ = np.linalg.lstsq(A, g, rcond=None)
-
-    X = np.zeros((d, r))
-    X[idx, col] = z
-    return SparseCodes.from_values(X)
+    return _solve_on_support(Y, D, B, S, ridge, solve)
 
 
 def residual_cost(Y, D, X, B):

@@ -31,7 +31,7 @@ import scipy.optimize
 from .linalg import (
     _RIDGE_SCALE,
     SparseCodes,
-    _assemble_normal_system,
+    _solve_on_support,
     as_matrix,
     as_mixing,
     canonical_support,
@@ -178,6 +178,11 @@ def omp(y, D, k):
     return x, np.array(selected)[order]
 
 
+def _omp_columns(A, D, k):
+    """OMP codes of every column of ``A``, stacked as columns."""
+    return np.column_stack([omp(A[:, i], D, k)[0] for i in range(A.shape[1])])
+
+
 def trick_omp(Y, D, B, k, ridge=0.0):
     """Columnwise greedy coding of the projected data, then debiasing.
 
@@ -274,27 +279,14 @@ def iht(Y, D, B, k, X0=None, stop=None, ridge=0.0):
     stop = stop or StoppingRule()
     d, r = Dm.shape[1], op.n_cols
     _check_sparsity(k, d)
-    X = np.zeros((d, r)) if X0 is None else np.array(X0, dtype=float)
+    X0 = np.zeros((d, r)) if X0 is None else np.array(X0, dtype=float)
     U, G, M = _precompute(Ym, Dm, op)
     eta = _stepsize(Dm, op)
 
-    Z = X.copy()
-    beta = 1.0
-    trace = [residual_cost(Ym, Dm, X, op)]
-    iterations = 0
-    termination = "max_iter"
-    for _ in range(stop.max_iter):
-        V = Z - eta * (U @ Z @ G - M)
-        X_new = hard_threshold_columns(V, k)
-        beta_old = beta
-        beta = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * beta**2))
-        Z = X_new + ((beta_old - 1.0) / beta) * (X_new - X)
-        X = X_new
-        iterations += 1
-        trace.append(residual_cost(Ym, Dm, X, op))
-        if stop.done(trace[-2], trace[-1]):
-            termination = "tolerance"
-            break
+    X, trace, iterations, termination = _fista_core(
+        U, G, M, lambda V: hard_threshold_columns(V, k),
+        lambda X: residual_cost(Ym, Dm, X, op), X0, eta, stop,
+    )
     codes = fixed_support_ls(Ym, Dm, op, support_from_values(X), ridge=ridge)
     return SolverReport(
         codes=codes,
@@ -326,8 +318,8 @@ def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
     joint candidate: they replace the iterate only if their cost is
     strictly lower, and then count as an accepted update of that sweep.
     The candidate is skipped for ``r == 1`` (where it equals the first
-    sweep), for a rank-deficient mixing factor and for ``k > min(n, d)``,
-    where :func:`trick_omp` is undefined. An explicit ``X0`` (including
+    sweep), for a rank-deficient mixing factor and for ``k > n``, where
+    :func:`trick_omp` is undefined. An explicit ``X0`` (including
     an all-zero one) is a plain start: the sweeps run from it and no
     candidate is offered.
     """
@@ -336,16 +328,15 @@ def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
     op = as_mixing(B)
     Ym = as_matrix(Y, "Y")
     _require_unit_columns(Dm)
-    if k < 1:
-        raise ValueError("sparsity level k must be at least 1")
-    stop = stop or StoppingRule()
     n, d = Dm.shape
+    _check_sparsity(k, d)
+    stop = stop or StoppingRule()
     r = op.n_cols
     Bm = op.materialize()
     gram_b = op.gram()
     X = np.zeros((d, r)) if X0 is None else np.array(X0, dtype=float)
     offer_greedy = (
-        X0 is None and r > 1 and not op.rank_deficient and k <= min(n, d)
+        X0 is None and r > 1 and not op.rank_deficient and k <= n
     )
 
     precompute = n * d <= _PRECOMPUTE_LIMIT and d * d <= _PRECOMPUTE_LIMIT
@@ -386,16 +377,12 @@ def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
             rejections += 1
             S_old = np.flatnonzero(np.abs(X[:, p]) > 0)
             if S_old.size:
+                # X is unchanged, so c0 still holds the column's correlations
                 if precompute:
-                    c0_old = (
-                        M[:, p] - (U @ X) @ gram_b[:, p] + (U @ X[:, p]) * g_pp
-                    ) / g_pp
                     G_old = U[np.ix_(S_old, S_old)]
                 else:
-                    vb = (Rp @ Bm[:, p]) / g_pp
-                    c0_old = Dm.T @ vb
                     G_old = Dm[:, S_old].T @ Dm[:, S_old]
-                z_old = _solve_spd(G_old, c0_old[S_old])
+                z_old = _solve_spd(G_old, c0[S_old])
                 x_refit = np.zeros(d)
                 x_refit[S_old] = z_old
                 Rf = Rp - np.outer(Dm @ x_refit, Bm[:, p])
@@ -456,23 +443,29 @@ def lambda_max_mixed(Y, D, B):
     return float(lambda_max_block(Y, D, B).sum())
 
 
-def _penalized_residual(normY_sq, U, G, M, X):
-    fit = np.einsum("ij,ij->", U @ X @ G, X)
-    cross = np.einsum("ij,ij->", X, M)
-    return 0.5 * max(normY_sq - 2.0 * cross + fit, 0.0)
+def _penalized_objective(normY_sq, U, G, M, penalty):
+    """``0.5 ||Y - D X B^T||_F^2 + penalty(X)``, evaluated in the Gram domain."""
+
+    def objective(X):
+        fit = np.einsum("ij,ij->", U @ X @ G, X)
+        cross = np.einsum("ij,ij->", X, M)
+        return 0.5 * max(normY_sq - 2.0 * cross + fit, 0.0) + penalty(X)
+
+    return objective
 
 
-def _fista_core(U, G, M, normY_sq, prox, penalty, X0, eta, stop):
-    """Inertial proximal gradient iterations shared by the convex solvers.
+def _fista_core(U, G, M, prox, objective, X0, eta, stop):
+    """Inertial proximal gradient iterations shared by the iterative solvers.
 
-    ``prox`` maps a gradient-step point to the next iterate, ``penalty``
-    evaluates the regularizer. Returns the final iterate, the penalized
-    objective trace, the iteration count and the termination reason.
+    ``prox`` maps a gradient-step point to the next iterate and
+    ``objective`` scores an iterate for the trace and the stopping rule.
+    Returns the final iterate, the objective trace, the iteration count
+    and the termination reason.
     """
     X = X0.copy()
     Z = X0.copy()
     beta = 1.0
-    trace = [_penalized_residual(normY_sq, U, G, M, X) + penalty(X)]
+    trace = [objective(X)]
     iterations = 0
     termination = "max_iter"
     for _ in range(stop.max_iter):
@@ -483,7 +476,7 @@ def _fista_core(U, G, M, normY_sq, prox, penalty, X0, eta, stop):
         Z = X_new + ((beta_old - 1.0) / beta) * (X_new - X)
         X = X_new
         iterations += 1
-        trace.append(_penalized_residual(normY_sq, U, G, M, X) + penalty(X))
+        trace.append(objective(X))
         if stop.done(trace[-2], trace[-1]):
             termination = "tolerance"
             break
@@ -500,26 +493,16 @@ def fixed_support_nnls(Y, D, B, S, ridge=0.0):
 
     Solves the support-restricted normal system under ``X >= 0`` with a
     small ridge, through a Cholesky factor fed to the Lawson-Hanson
-    solver.
+    solver. Validates its arguments like :func:`fixed_support_ls`.
     """
-    Dm = dict_matrix(D)
-    op = as_mixing(B)
-    Ym = as_matrix(Y, "Y")
-    d, r = Dm.shape[1], op.n_cols
-    S = canonical_support(S, d)
-    sizes = [len(s) for s in S]
-    if sum(sizes) == 0:
-        return SparseCodes.zeros(d, r)
-    U = Dm.T @ Dm if d * d <= 1e8 else None
-    G, g, idx, col = _assemble_normal_system(Dm, U, op.gram(), op.data_product(Ym), S)
-    eff = max(ridge, _RIDGE_SCALE * np.trace(G) / G.shape[0])
-    A = G + eff * np.eye(G.shape[0])
-    L = scipy.linalg.cholesky(A, lower=False)
-    b = scipy.linalg.solve_triangular(L, g, trans="T", lower=False)
-    z, _ = scipy.optimize.nnls(L, b)
-    X = np.zeros((d, r))
-    X[idx, col] = z
-    return SparseCodes.from_values(X)
+
+    def solve(G, g):
+        eff = max(ridge, _RIDGE_SCALE * np.trace(G) / G.shape[0])
+        L = scipy.linalg.cholesky(G + eff * np.eye(G.shape[0]), lower=False)
+        b = scipy.linalg.solve_triangular(L, g, trans="T", lower=False)
+        return scipy.optimize.nnls(L, b)[0]
+
+    return _solve_on_support(Y, D, B, S, ridge, solve)
 
 
 def debias(Y, D, B, S, k, nonneg=False, ridge=0.0):
@@ -567,15 +550,13 @@ def _alpha_vector(alpha, r):
     return a
 
 
-def block_fista(Y, D, B, alpha, k, X0=None, stop=None, nonneg=False, ridge=0.0):
-    """Accelerated proximal gradient for the columnwise l1 relaxation.
+def _convex_relaxation(Y, D, B, k, X0, stop, ridge, nonneg, check_alpha,
+                       prox_penalty):
+    """Body shared by :func:`block_fista` and :func:`mixed_fista`.
 
-    Regularization is specified as ratios ``alpha`` in [0, 1] of the
-    per-column maximum levels (see :func:`lambda_max_block`). The traced
-    objective is ``0.5 ||Y - D X B^T||_F^2 + sum_i lam_i ||X_i||_1``.
-    After the iterations stop, the candidate support is truncated to
-    ``k`` per column by hard thresholding and the codes are refit
-    (nonnegative least squares when ``nonneg``).
+    ``check_alpha(r)`` validates the ratios and returns them;
+    ``prox_penalty(alpha, M, eta)`` builds the prox and the penalty from
+    the correlations ``M = D^T Y B`` and the stepsize.
     """
     t0 = time.perf_counter()
     Dm = dict_matrix(D)
@@ -584,16 +565,15 @@ def block_fista(Y, D, B, alpha, k, X0=None, stop=None, nonneg=False, ridge=0.0):
     stop = stop or StoppingRule()
     d, r = Dm.shape[1], op.n_cols
     _check_sparsity(k, d)
-    alpha = _alpha_vector(alpha, r)
+    alpha = check_alpha(r)
     U, G, M = _precompute(Ym, Dm, op)
-    lam = alpha * np.abs(M).max(axis=0)
     eta = _stepsize(Dm, op)
+    prox, penalty = prox_penalty(alpha, M, eta)
     normY_sq = float(np.einsum("ij,ij->", Ym, Ym))
     X0 = np.zeros((d, r)) if X0 is None else np.array(X0, dtype=float)
 
-    prox, penalty = _l1_prox_penalty(eta, lam, nonneg)
     X, trace, iterations, termination = _fista_core(
-        U, G, M, normY_sq, prox, penalty, X0, eta, stop
+        U, G, M, prox, _penalized_objective(normY_sq, U, G, M, penalty), X0, eta, stop
     )
     S = _truncate_support(X, k)
     codes = debias(Ym, Dm, op, S, k, nonneg=nonneg, ridge=ridge)
@@ -606,6 +586,40 @@ def block_fista(Y, D, B, alpha, k, X0=None, stop=None, nonneg=False, ridge=0.0):
     )
 
 
+def block_fista(Y, D, B, alpha, k, X0=None, stop=None, nonneg=False, ridge=0.0):
+    """Accelerated proximal gradient for the columnwise l1 relaxation.
+
+    Regularization is specified as ratios ``alpha`` in [0, 1] of the
+    per-column maximum levels (see :func:`lambda_max_block`). The traced
+    objective is ``0.5 ||Y - D X B^T||_F^2 + sum_i lam_i ||X_i||_1``.
+    After the iterations stop, the candidate support is truncated to
+    ``k`` per column by hard thresholding and the codes are refit
+    (nonnegative least squares when ``nonneg``).
+    """
+
+    def prox_penalty(a, M, eta):
+        return _l1_prox_penalty(eta, a * np.abs(M).max(axis=0), nonneg)
+
+    return _convex_relaxation(
+        Y, D, B, k, X0, stop, ridge, nonneg,
+        lambda r: _alpha_vector(alpha, r), prox_penalty,
+    )
+
+
+def _l11_prox_penalty(a, M, eta):
+    """Prox and penalty of ``lam * max_i ||X_i||_1`` with ``lam`` the
+    ratio ``a`` of its maximum level."""
+    lam = a * float(np.abs(M).max(axis=0).sum())
+
+    def prox(V):
+        return prox_l11(V, eta * lam)
+
+    def penalty(X):
+        return lam * float(np.abs(X).sum(axis=0).max()) if X.size else 0.0
+
+    return prox, penalty
+
+
 def mixed_fista(Y, D, B, alpha, k, X0=None, stop=None, ridge=0.0):
     """Accelerated proximal gradient for the max-of-column-l1 relaxation.
 
@@ -615,38 +629,14 @@ def mixed_fista(Y, D, B, alpha, k, X0=None, stop=None, ridge=0.0):
     exactly by one sort of its breakpoints. Support extraction and
     debiasing follow :func:`block_fista`.
     """
-    t0 = time.perf_counter()
-    Dm = dict_matrix(D)
-    op = as_mixing(B)
-    Ym = as_matrix(Y, "Y")
-    stop = stop or StoppingRule()
-    d, r = Dm.shape[1], op.n_cols
-    _check_sparsity(k, d)
-    if not np.isscalar(alpha):
-        raise ValueError("alpha must be a scalar ratio")
-    if alpha < 0 or alpha > 1:
-        raise ValueError("alpha must lie in [0, 1]")
-    U, G, M = _precompute(Ym, Dm, op)
-    lam = float(alpha) * float(np.abs(M).max(axis=0).sum())
-    eta = _stepsize(Dm, op)
-    normY_sq = float(np.einsum("ij,ij->", Ym, Ym))
-    X0 = np.zeros((d, r)) if X0 is None else np.array(X0, dtype=float)
 
-    def prox(V):
-        return prox_l11(V, eta * lam)
+    def check_alpha(r):
+        if not np.isscalar(alpha):
+            raise ValueError("alpha must be a scalar ratio")
+        if alpha < 0 or alpha > 1:
+            raise ValueError("alpha must lie in [0, 1]")
+        return float(alpha)
 
-    def penalty(X):
-        return lam * float(np.abs(X).sum(axis=0).max()) if X.size else 0.0
-
-    X, trace, iterations, termination = _fista_core(
-        U, G, M, normY_sq, prox, penalty, X0, eta, stop
-    )
-    S = _truncate_support(X, k)
-    codes = debias(Ym, Dm, op, S, k, ridge=ridge)
-    return SolverReport(
-        codes=codes,
-        cost_trace=trace,
-        iterations=iterations,
-        termination=termination,
-        wall_time=time.perf_counter() - t0,
+    return _convex_relaxation(
+        Y, D, B, k, X0, stop, ridge, False, check_alpha, _l11_prox_penalty
     )

@@ -89,13 +89,20 @@ def mttkrp(T, B, C):
     return np.einsum("ijk,jl,kl->il", T, B, C, optimize=True)
 
 
-def _exact_ls_factor(unfolded, kr_gram, mtt):
-    """Exact minimizer of ``||unfolded - F (KR)^T||`` given the Gram pieces."""
+def _exact_ls_factor(gram, rhs, ridge=0.0):
+    """Minimizer of ``||Y - F K^T||`` over F from ``gram = K^T K`` and
+    ``rhs = Y K``, with ``ridge`` added to the Gram diagonal.
+
+    A Cholesky solve; a Gram matrix that is not positive definite falls
+    back to the minimum-norm least-squares solution.
+    """
+    if ridge:
+        gram = gram + ridge * np.eye(gram.shape[0])
     try:
-        cf = scipy.linalg.cho_factor(kr_gram, lower=True)
-        return scipy.linalg.cho_solve(cf, mtt.T).T
+        cf = scipy.linalg.cho_factor(gram, lower=True)
+        return scipy.linalg.cho_solve(cf, rhs.T).T
     except scipy.linalg.LinAlgError:
-        out, *_ = np.linalg.lstsq(kr_gram, mtt.T, rcond=None)
+        out, *_ = np.linalg.lstsq(gram, rhs.T, rcond=None)
         return out.T
 
 
@@ -110,6 +117,14 @@ def _hals_factor(F, gram, mtt):
             col = np.full(F.shape[0], 1e-16)
         F[:, l] = col
     return F
+
+
+def _update_factor(F, gram, mtt, nonneg, ridge=0.0):
+    """Factor update from its Gram and MTTKRP pieces: one HALS pass when
+    ``nonneg`` (``ridge`` unused), otherwise the exact least squares."""
+    if nonneg:
+        return _hals_factor(F, gram, mtt)
+    return _exact_ls_factor(gram, mtt, ridge)
 
 
 def cpd_als(T, r, iters=200, nonneg=False, seed=0, rel_tol=1e-8):
@@ -146,17 +161,9 @@ def cpd_als(T, r, iters=200, nonneg=False, seed=0, rel_tol=1e-8):
     prev = cost(A, B, C)
     trace = [prev]
     for _ in range(iters):
-        gram_bc = (B.T @ B) * (C.T @ C)
-        m_a = Y1 @ khatri_rao(B, C)
-        A = _hals_factor(A, gram_bc, m_a) if nonneg else _exact_ls_factor(Y1, gram_bc, m_a)
-
-        gram_ac = (A.T @ A) * (C.T @ C)
-        m_b = Y2 @ khatri_rao(A, C)
-        B = _hals_factor(B, gram_ac, m_b) if nonneg else _exact_ls_factor(Y2, gram_ac, m_b)
-
-        gram_ab = (A.T @ A) * (B.T @ B)
-        m_c = Y3 @ khatri_rao(A, B)
-        C = _hals_factor(C, gram_ab, m_c) if nonneg else _exact_ls_factor(Y3, gram_ab, m_c)
+        A = _update_factor(A, (B.T @ B) * (C.T @ C), Y1 @ khatri_rao(B, C), nonneg)
+        B = _update_factor(B, (A.T @ A) * (C.T @ C), Y2 @ khatri_rao(A, C), nonneg)
+        C = _update_factor(C, (A.T @ A) * (B.T @ B), Y3 @ khatri_rao(A, B), nonneg)
 
         if not nonneg:
             for F in (B, C):

@@ -289,6 +289,12 @@ class TestInitByLra:
         assert init["X"].shape == (14, 2)
         assert init["B"].shape == (9, 2)
 
+    def test_rank_above_svd_rank_rejected(self):
+        Y, D, X, B = make_dmf_instance(n=10, m=4, d=14, r=2, k=2, seed=62)
+        model = DlraModel("matrix_factorization", 6, ModeDictionary(D, 2))
+        with pytest.raises(ValueError, match="rank 6 exceeds"):
+            init_by_lra(Y, model)
+
 
 class TestCompleteMissingRows:
     def test_no_missing_rows(self):

@@ -4,13 +4,19 @@ import warnings
 import numpy as np
 import pytest
 
-from mscdlra.linalg import normalize_columns, residual_cost, support_from_values
+from mscdlra.linalg import (
+    fixed_support_ls,
+    normalize_columns,
+    residual_cost,
+    support_from_values,
+)
 from mscdlra.prox import hard_threshold_k, soft_threshold
 from mscdlra.solvers import (
     StoppingRule,
     block_fista,
     check_reduction_bound,
     debias,
+    fixed_support_nnls,
     homp,
     iht,
     lambda_max_block,
@@ -529,7 +535,8 @@ def test_stopping_rule_validation():
     lambda Y, D, B, k: iht(Y, D, B, k),
     lambda Y, D, B, k: block_fista(Y, D, B, 0.1, k),
     lambda Y, D, B, k: mixed_fista(Y, D, B, 0.1, k),
-], ids=["iht", "block_fista", "mixed_fista"])
+    lambda Y, D, B, k: homp(Y, D, B, k),
+], ids=["iht", "block_fista", "mixed_fista", "homp"])
 @pytest.mark.parametrize("k", [0, 19, 40])
 def test_sparsity_outside_dictionary_size_rejected(solve, k):
     inst = gen_msc_instance(
@@ -537,6 +544,20 @@ def test_sparsity_outside_dictionary_size_rejected(solve, k):
     )
     with pytest.raises(ValueError, match=rf"k={k} must lie in \[1, 18\]"):
         solve(inst["Y"], inst["D"], inst["B"], k)
+
+
+@pytest.mark.parametrize("solve", [fixed_support_ls, fixed_support_nnls])
+def test_fixed_support_arguments_validated(solve):
+    inst = gen_msc_instance(
+        n=12, m=10, d=18, k=2, r=3, snr_db=20.0, cond_b=10.0, seed=13
+    )
+    Y, D, B = inst["Y"], inst["D"], inst["B"]
+    S = inst["X"].support
+    for wrong in (S[:-1], S + [np.array([0])]):
+        with pytest.raises(ValueError, match=rf"support has {len(wrong)} columns"):
+            solve(Y, D, B, wrong)
+    with pytest.raises(ValueError, match="ridge must be nonnegative"):
+        solve(Y, D, B, S, ridge=-1e-3)
 
 
 def test_supports_have_at_most_k_entries_after_threshold():
