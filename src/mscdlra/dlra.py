@@ -22,6 +22,7 @@ from .linalg import (
     Dictionary,
     MixingOperator,
     SparseCodes,
+    _kr_product,
     as_matrix,
     dict_matrix,
     spectral_norm_sq,
@@ -42,10 +43,10 @@ from .solvers import (
 from .tensor import (
     _exact_ls_factor,
     _hals_factor,
+    _tensor_factor_updates,
     _update_factor,
     as_tensor3,
     cpd_als,
-    khatri_rao,
     unfold1,
     unfold2,
     unfold3,
@@ -238,15 +239,6 @@ def _fit_data(data, model, init):
     return unfold1(T), unfold2(T), unfold3(T), B, np.array(init["C"], dtype=float)
 
 
-def _tensor_factor_updates(update, A, B, C, Y2, Y3, update_b):
-    """Update B (when ``update_b``) and then C of a tensor model, each by
-    ``update(F, gram, mttkrp)`` from its Khatri-Rao Gram and MTTKRP."""
-    if update_b:
-        B = update(B, (A.T @ A) * (C.T @ C), Y2 @ khatri_rao(A, C))
-    C = update(C, (A.T @ A) * (B.T @ B), Y3 @ khatri_rao(A, B))
-    return B, C
-
-
 def _model_cost(data, model, X_codes, B, C=None):
     A = model.mode0.dictionary.matrix @ X_codes.values
     if not model.is_tensor:
@@ -437,7 +429,7 @@ def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
         # second constrained mode
         if model.mode1 is not None:
             G1 = (A.T @ A) * (C.T @ C)
-            M1 = D2.T @ (Y2 @ khatri_rao(A, C))
+            M1 = D2.T @ _kr_product(Y2, A, C)
             X1, Z1 = _inertial_code_step(
                 X1, Z1, model.mode1, U1, eps_d1, G1, M1, mu, beta
             )

@@ -16,7 +16,6 @@ All objects are treated as immutable after construction and every function
 here is deterministic and reentrant.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,43 +100,14 @@ def normalize_columns(M):
     return Dictionary(A / norms, norms.copy()), norms
 
 
-def spectral_norm_sq(M, tol=1e-6, max_iter=500):
-    """Largest squared singular value of ``M`` by power iteration.
-
-    Iterates on the smaller of the two Gram matrices of ``M`` and stops
-    when the Rayleigh quotient is stable to relative tolerance ``tol``.
-    If ``max_iter`` is exhausted the current estimate is returned with a
-    RuntimeWarning.
-    """
+def spectral_norm_sq(M):
+    """Largest squared singular value of ``M``: the top ``np.linalg.eigvalsh``
+    eigenvalue of the smaller of its two Gram matrices."""
     A = as_matrix(M)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if not np.any(A):
         raise ValueError("spectral norm of the zero matrix is undefined here")
     G = A.T @ A if A.shape[1] <= A.shape[0] else A @ A.T
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(G.shape[0])
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    lam = 0.0
-    for _ in range(max_iter):
-        w = G @ v
-        lam = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v landed in the null space: restart from a fresh direction
-            v = rng.standard_normal(G.shape[0])
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nw
-        if abs(lam - lam_prev) <= tol * max(abs(lam), np.finfo(float).tiny):
-            return lam
-        lam_prev = lam
-    warnings.warn(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations",
-        RuntimeWarning,
-    )
-    return lam
+    return float(np.linalg.eigvalsh(G)[-1])
 
 
 def khatri_rao(B, C):
@@ -155,6 +125,15 @@ def khatri_rao(B, C):
     m1, r = Bm.shape
     m2 = Cm.shape[0]
     return (Bm[:, None, :] * Cm[None, :, :]).reshape(m1 * m2, r)
+
+
+def _kr_product(Y, B, C):
+    """``Y @ khatri_rao(B, C)``; above ``_MATERIALIZE_LIMIT`` rows ``Y`` is
+    contracted as an (n, m1, m2) tensor with ``B`` and ``C`` instead."""
+    if B.shape[0] * C.shape[0] <= _MATERIALIZE_LIMIT:
+        return Y @ khatri_rao(B, C)
+    T = Y.reshape(Y.shape[0], B.shape[0], C.shape[0])
+    return np.einsum("ijk,jl,kl->il", T, B, C, optimize=True)
 
 
 class MixingOperator:
@@ -181,6 +160,7 @@ class MixingOperator:
             self.n_rows = self.B.shape[0] * self.C.shape[0]
         self.n_cols = self.B.shape[1]
         evals = np.linalg.eigvalsh(self._gram)
+        self._sigma_max_sq = float(evals[-1])
         self.min_singular_value = float(np.sqrt(max(evals[0], 0.0)))
         # full column rank is assumed by most solvers; flag when violated
         self.rank_deficient = self.min_singular_value <= 1e-12
@@ -216,17 +196,14 @@ class MixingOperator:
             )
         if self.kind == "dense":
             return Ym @ self.B
-        if self.n_rows <= _MATERIALIZE_LIMIT:
-            return Ym @ khatri_rao(self.B, self.C)
-        T = Ym.reshape(Ym.shape[0], self.B.shape[0], self.C.shape[0])
-        return np.einsum("ijk,jl,kl->il", T, self.B, self.C, optimize=True)
+        return _kr_product(Ym, self.B, self.C)
 
     def spectral_norm_sq(self):
-        """Largest squared singular value of the effective matrix."""
-        if self.kind == "dense":
-            return spectral_norm_sq(self.B, tol=1e-10, max_iter=5000)
-        # sigma(B kr C)^2 = largest eigenvalue of the Gram matrix
-        return float(np.sqrt(spectral_norm_sq(self._gram, tol=1e-10, max_iter=5000)))
+        """Largest squared singular value of the effective matrix: the top
+        eigenvalue of its Gram matrix, computed once at construction."""
+        if self._sigma_max_sq <= 0.0:
+            raise ValueError("spectral norm of the zero matrix is undefined here")
+        return self._sigma_max_sq
 
 
 def as_mixing(B):

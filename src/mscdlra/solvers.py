@@ -15,7 +15,8 @@ Khatri-Rao structured). Five heuristic families are provided:
 * :func:`mixed_fista` -- the same scheme for the max-of-column-l1 relaxation.
 
 All solvers are deterministic, never mutate their inputs, and report the
-estimated codes together with a cost trace.
+estimated codes together with a cost trace. Each rejects a dictionary
+whose columns are not unit norm, naming the column furthest from it.
 """
 
 import itertools
@@ -276,6 +277,7 @@ def iht(Y, D, B, k, X0=None, stop=None, ridge=0.0):
     Dm = dict_matrix(D)
     op = as_mixing(B)
     Ym = as_matrix(Y, "Y")
+    _require_unit_columns(Dm)
     stop = stop or StoppingRule()
     d, r = Dm.shape[1], op.n_cols
     _check_sparsity(k, d)
@@ -562,6 +564,7 @@ def _convex_relaxation(Y, D, B, k, X0, stop, ridge, nonneg, check_alpha,
     Dm = dict_matrix(D)
     op = as_mixing(B)
     Ym = as_matrix(Y, "Y")
+    _require_unit_columns(Dm)
     stop = stop or StoppingRule()
     d, r = Dm.shape[1], op.n_cols
     _check_sparsity(k, d)

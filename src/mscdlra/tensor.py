@@ -6,12 +6,13 @@ Khatri-Rao index conventions agree: a rank-one tensor ``a o b o c``
 unfolds to ``a (b kron c)^T``.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import _MATERIALIZE_LIMIT, khatri_rao
+from .linalg import _kr_product
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,8 @@ def cpd_reconstruct(factors):
 def mttkrp(T, B, C):
     """Matricized-tensor times Khatri-Rao product, ``unfold1(T) @ (B kr C)``.
 
-    The Khatri-Rao product is materialized only when it has at most 1e6
-    rows; above that the product is contracted directly on the tensor.
+    ``B kr C`` is materialized only when it has at most 1e6 rows; above
+    that the tensor is contracted with ``B`` and ``C`` directly.
     """
     T = as_tensor3(T)
     B = np.asarray(B, dtype=float)
@@ -84,9 +85,7 @@ def mttkrp(T, B, C):
         raise ValueError(
             f"tensor {T.shape} does not conform to factors {B.shape}, {C.shape}"
         )
-    if B.shape[0] * C.shape[0] <= _MATERIALIZE_LIMIT:
-        return unfold1(T) @ khatri_rao(B, C)
-    return np.einsum("ijk,jl,kl->il", T, B, C, optimize=True)
+    return _kr_product(unfold1(T), B, C)
 
 
 def _exact_ls_factor(gram, rhs, ridge=0.0):
@@ -127,6 +126,15 @@ def _update_factor(F, gram, mtt, nonneg, ridge=0.0):
     return _exact_ls_factor(gram, mtt, ridge)
 
 
+def _tensor_factor_updates(update, A, B, C, Y2, Y3, update_b):
+    """Update B (when ``update_b``) and then C of a tensor model, each by
+    ``update(F, gram, mttkrp)`` from its Khatri-Rao Gram and MTTKRP."""
+    if update_b:
+        B = update(B, (A.T @ A) * (C.T @ C), _kr_product(Y2, A, C))
+    C = update(C, (A.T @ A) * (B.T @ B), _kr_product(Y3, A, B))
+    return B, C
+
+
 def cpd_als(T, r, iters=200, nonneg=False, seed=0, rel_tol=1e-8):
     """Rank-r CPD by alternating least squares (or HALS when ``nonneg``).
 
@@ -135,7 +143,9 @@ def cpd_als(T, r, iters=200, nonneg=False, seed=0, rel_tol=1e-8):
     update per factor for the nonnegative one. After an ALS sweep the
     columns of B and C are normalized with the scales absorbed into A.
     Stops after ``iters`` sweeps or when the relative cost decrease
-    falls below ``rel_tol``.
+    falls below ``rel_tol``. The cost ``||T - [[A, B, C]]||^2`` is scored
+    by its Gram expansion ``||T||^2 - 2 <A, unfold1(T) (B kr C)> +
+    <A^T A * B^T B, C^T C>``, clamped at 0, without forming the model.
     """
     T = as_tensor3(T)
     if r < 1:
@@ -153,17 +163,20 @@ def cpd_als(T, r, iters=200, nonneg=False, seed=0, rel_tol=1e-8):
 
     Y1, Y2, Y3 = unfold1(T), unfold2(T), unfold3(T)
     norm_sq = float(np.einsum("ijk,ijk->", T, T))
+    update = functools.partial(_update_factor, nonneg=nonneg)
 
     def cost(A, B, C):
-        R = T - np.einsum("il,jl,kl->ijk", A, B, C)
-        return float(np.einsum("ijk,ijk->", R, R))
+        """The cost and its MTTKRP, which the next A update reuses."""
+        mtt1 = _kr_product(Y1, B, C)
+        cross = np.einsum("ij,ij->", A, mtt1)
+        fit = np.einsum("ij,ij->", (A.T @ A) * (B.T @ B), C.T @ C)
+        return max(float(norm_sq - 2.0 * cross + fit), 0.0), mtt1
 
-    prev = cost(A, B, C)
+    prev, mtt1 = cost(A, B, C)
     trace = [prev]
     for _ in range(iters):
-        A = _update_factor(A, (B.T @ B) * (C.T @ C), Y1 @ khatri_rao(B, C), nonneg)
-        B = _update_factor(B, (A.T @ A) * (C.T @ C), Y2 @ khatri_rao(A, C), nonneg)
-        C = _update_factor(C, (A.T @ A) * (B.T @ B), Y3 @ khatri_rao(A, B), nonneg)
+        A = update(A, (B.T @ B) * (C.T @ C), mtt1)
+        B, C = _tensor_factor_updates(update, A, B, C, Y2, Y3, True)
 
         if not nonneg:
             for F in (B, C):
@@ -172,7 +185,7 @@ def cpd_als(T, r, iters=200, nonneg=False, seed=0, rel_tol=1e-8):
                 F /= norms
                 A *= norms
 
-        cur = cost(A, B, C)
+        cur, mtt1 = cost(A, B, C)
         trace.append(cur)
         if prev > 0 and abs(cur - prev) / prev < rel_tol:
             break

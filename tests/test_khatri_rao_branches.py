@@ -1,12 +1,13 @@
 """Property tests for the Khatri-Rao code paths over random shapes.
 
 With the materialization limit patched to 0, ``MixingOperator.data_product``,
-``residual_cost`` and ``tensor.mttkrp`` take the branches they use for
-Khatri-Rao products above 1e6 rows; each must agree with its materialized
-counterpart. The least-squares factor solve is checked against
-``np.linalg.lstsq``, including its fallback on a singular Gram matrix, and
-``fixed_support_ls`` with a Khatri-Rao operator, on either side of the
-limit, against the explicit Kronecker least-squares oracle.
+``residual_cost``, ``tensor.mttkrp`` and the mode-1 and mode-2 products of
+the tensor factor sweeps take the branches they use for Khatri-Rao products
+above 1e6 rows; each must agree with its materialized counterpart. The
+least-squares factor solve is checked against ``np.linalg.lstsq``,
+including its fallback on a singular Gram matrix, and ``fixed_support_ls``
+with a Khatri-Rao operator, on either side of the limit, against the
+explicit Kronecker least-squares oracle.
 """
 
 import contextlib
@@ -17,14 +18,14 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mscdlra import linalg, tensor
+from mscdlra import linalg
 from mscdlra.linalg import (
     MixingOperator,
     fixed_support_ls,
     khatri_rao,
     residual_cost,
 )
-from mscdlra.tensor import _exact_ls_factor, mttkrp, unfold1
+from mscdlra.tensor import _exact_ls_factor, mttkrp, unfold1, unfold2, unfold3
 
 RTOL = 1e-10
 
@@ -51,7 +52,6 @@ def large_operator_branches():
     """Context in which every Khatri-Rao product counts as too large."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_MATERIALIZE_LIMIT", 0)
-        mp.setattr(tensor, "_MATERIALIZE_LIMIT", 0)
         yield
 
 
@@ -82,15 +82,25 @@ def test_residual_cost_gram_expansion_matches_materialized(p):
     assert got == pytest.approx(ref, rel=0, abs=RTOL * scale)
 
 
-@given(kr_problems())
-def test_mttkrp_contraction_matches_materialized(p):
+@given(kr_problems(), st.sampled_from([0, 1, 2]))
+def test_mttkrp_contraction_matches_materialized(p, mode):
+    """Mode 0 through ``mttkrp``; modes 1 and 2 as the tensor factor sweeps
+    compute them, with ``A = D X`` as the mode-0 factor."""
     T = p["Y"].reshape(p["Y"].shape[0], p["B"].shape[0], p["C"].shape[0])
-    K = khatri_rao(p["B"], p["C"])
-    ref = mttkrp(T, p["B"], p["C"])
-    np.testing.assert_array_equal(ref, unfold1(T) @ K)
-    scale = (np.abs(unfold1(T)) @ np.abs(K)).max()
+    A = p["D"] @ p["X"]
+    Y, F, G = [
+        (unfold1(T), p["B"], p["C"]), (unfold2(T), A, p["C"]), (unfold3(T), A, p["B"])
+    ][mode]
+
+    def product():
+        return mttkrp(T, F, G) if mode == 0 else linalg._kr_product(Y, F, G)
+
+    K = khatri_rao(F, G)
+    ref = product()
+    np.testing.assert_array_equal(ref, Y @ K)
+    scale = (np.abs(Y) @ np.abs(K)).max()
     with large_operator_branches():
-        got = mttkrp(T, p["B"], p["C"])
+        got = product()
     np.testing.assert_allclose(got, ref, rtol=0, atol=RTOL * scale)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mscdlra.linalg import (
     MixingOperator,
@@ -70,13 +72,43 @@ class TestSpectralNormSq:
         rng = np.random.default_rng(123)
         M = rng.standard_normal((8, 5))
         expected = np.linalg.svd(M, compute_uv=False)[0] ** 2
-        got = spectral_norm_sq(M, tol=1e-12, max_iter=20000)
+        got = spectral_norm_sq(M)
         assert got == pytest.approx(expected, rel=1e-8)
 
-    def test_nonconvergence_warns(self):
-        M = np.diag([1.0, 1.0 - 1e-12, 0.5])
-        with pytest.warns(RuntimeWarning):
-            spectral_norm_sq(M, tol=1e-15, max_iter=3)
+    @given(
+        st.integers(1, 9), st.integers(1, 9), st.integers(0, 9),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_svd_on_tall_wide_and_rank_deficient(self, m, n, rank, seed):
+        rng = np.random.default_rng(seed)
+        rank = min(rank, m, n) or 1
+        M = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        expected = np.linalg.svd(M, compute_uv=False)[0] ** 2
+        assert spectral_norm_sq(M) == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_matrix_raises(self):
+        with pytest.raises(ValueError, match="zero matrix"):
+            spectral_norm_sq(np.zeros((3, 2)))
+
+
+class TestMixingOperatorSpectralNorm:
+    @given(
+        st.integers(1, 6), st.integers(1, 6), st.integers(1, 5), st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_svd_of_materialized(self, m1, m2, r, kr, seed):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((m1, r))
+        op = MixingOperator(B, rng.standard_normal((m2, r)) if kr else None)
+        expected = np.linalg.svd(op.materialize(), compute_uv=False)[0] ** 2
+        assert op.spectral_norm_sq() == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("kr", [False, True])
+    def test_zero_matrix_raises(self, kr):
+        B = np.zeros((4, 2))
+        op = MixingOperator(B, np.ones((3, 2)) if kr else None)
+        with pytest.raises(ValueError, match="zero matrix"):
+            op.spectral_norm_sq()
 
 
 class TestKhatriRao:

@@ -546,6 +546,23 @@ def test_sparsity_outside_dictionary_size_rejected(solve, k):
         solve(inst["Y"], inst["D"], inst["B"], k)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda Y, D, B, k: trick_omp(Y, D, B, k),
+    lambda Y, D, B, k: iht(Y, D, B, k),
+    lambda Y, D, B, k: homp(Y, D, B, k),
+    lambda Y, D, B, k: block_fista(Y, D, B, 0.1, k),
+    lambda Y, D, B, k: mixed_fista(Y, D, B, 0.1, k),
+], ids=["trick_omp", "iht", "homp", "block_fista", "mixed_fista"])
+def test_dictionary_without_unit_columns_rejected(solve):
+    inst = gen_msc_instance(
+        n=12, m=10, d=18, k=2, r=3, snr_db=20.0, cond_b=10.0, seed=13
+    )
+    Dm = inst["D"].matrix.copy()
+    Dm[:, 7] *= 2.0
+    with pytest.raises(ValueError, match="dictionary column 7 has norm 2"):
+        solve(inst["Y"], Dm, inst["B"], 2)
+
+
 @pytest.mark.parametrize("solve", [fixed_support_ls, fixed_support_nnls])
 def test_fixed_support_arguments_validated(solve):
     inst = gen_msc_instance(

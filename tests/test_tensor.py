@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mscdlra.linalg import khatri_rao
 from mscdlra.tensor import (
@@ -122,3 +124,15 @@ class TestCpdAls:
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             cpd_als(np.ones((2, 2, 2)), r=0)
+
+    @given(
+        st.integers(1, 7), st.integers(1, 7), st.integers(1, 7), st.integers(1, 4),
+        st.integers(0, 40), st.booleans(), st.integers(0, 2**32 - 1),
+    )
+    def test_last_cost_matches_dense_residual(self, n, m1, m2, r, iters, nonneg, seed):
+        rng = np.random.default_rng(seed)
+        T = rng.uniform(size=(n, m1, m2)) if nonneg else rng.standard_normal((n, m1, m2))
+        factors, trace = cpd_als(T, r, iters=iters, nonneg=nonneg, seed=seed)
+        R = T - np.einsum("il,jl,kl->ijk", factors.A, factors.B, factors.C)
+        dense = float(np.sum(R * R))
+        assert trace[-1] == pytest.approx(dense, rel=0, abs=1e-10 * float(np.sum(T * T)))
