@@ -106,7 +106,15 @@ def msc_main(argv=None):
     B = read_matrix_csv(args.mixing)
     from .experiments import _run_msc_solver
 
-    rep = _run_msc_solver(args.solver, Y, D, B, args.k, args.alpha)
+    try:
+        rep = _run_msc_solver(args.solver, Y, D, B, args.k, args.alpha)
+    except ValueError as exc:
+        # the solvers name a rejected k or alpha; that is a usage error
+        msg = str(exc)
+        flag = "--k" if "k=" in msg else "--alpha" if "alpha" in msg else None
+        if flag is None:
+            raise
+        p_solve.error(f"argument {flag}: {msg}")
     args.out.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(args.out / "codes.csv", rep.codes.values)
     res = residual_cost(Y, D, rep.codes, B)

@@ -23,10 +23,10 @@ def hard_threshold_columns(X, k):
         raise ValueError("hard_threshold_columns expects a matrix")
     if not 0 <= k <= Xm.shape[0]:
         raise ValueError(f"k={k} outside [0, {Xm.shape[0]}]")
-    out = np.zeros_like(Xm)
     keep = np.argsort(-np.abs(Xm), axis=0, kind="stable")[:k]
-    np.put_along_axis(out, keep, np.take_along_axis(Xm, keep, axis=0), axis=0)
-    return out
+    mask = np.zeros(Xm.shape, dtype=bool)
+    mask[keep, np.arange(Xm.shape[1])] = True
+    return np.where(mask, Xm, 0.0)
 
 
 def soft_threshold(x, lam):
@@ -53,22 +53,6 @@ def nonneg_soft_threshold(X, lam):
     return np.maximum(np.asarray(X, dtype=float) - lam, 0.0)
 
 
-def _shrink_levels(abs_sorted, cums, target):
-    """Shrinkage amounts mapping each column onto the l1 ball of radius
-    ``target``, from (d, r) magnitudes sorted decreasingly per column and
-    their cumulative sums: mu >= 0 with ``sum(max(abs - mu, 0)) == target``
-    per column (0 where the column already fits)."""
-    d = abs_sorted.shape[0]
-    j = np.arange(1, d + 1)[:, None]
-    mu_cand = (cums - target) / j
-    above = abs_sorted > mu_cand
-    # index of the last True per column; columns that already fit get 0
-    rho = d - 1 - np.argmax(above[::-1], axis=0)
-    mu = mu_cand[rho, np.arange(abs_sorted.shape[1])]
-    mu[cums[-1] <= target] = 0.0
-    return mu
-
-
 def prox_l11(X, lam):
     """Proximal operator of ``lam * max_i ||X_i||_1``.
 
@@ -80,9 +64,9 @@ def prox_l11(X, lam):
     slope ``-1/rho`` between the breakpoints ``c_j - j a_j`` (j = 2..d),
     where its active count ``rho`` grows to j, and ``c_d``, where it
     vanishes. One sort of all breakpoints locates the segment on which
-    ``g`` falls to ``lam``, and ``t`` follows there in closed form. By
-    Moreau's identity this is the l1,inf-ball projection of Quattoni,
-    Carreras, Collins & Darrell (2009).
+    ``g`` falls to ``lam``; ``t`` and each ``mu_i = (c_rho - t) / rho``
+    follow there in closed form. By Moreau's identity this is the
+    l1,inf-ball projection of Quattoni, Carreras, Collins & Darrell (2009).
     """
     Xm = np.asarray(X, dtype=float)
     if Xm.ndim != 2:
@@ -92,7 +76,8 @@ def prox_l11(X, lam):
     if lam == 0.0 or Xm.size == 0:
         return Xm.copy()
 
-    abs_sorted = np.sort(np.abs(Xm), axis=0)[::-1]
+    A = np.abs(Xm)
+    abs_sorted = np.sort(A, axis=0)[::-1]
     cums = np.cumsum(abs_sorted, axis=0)
     sum_inf = float(abs_sorted[0].sum())
     # the zero region is detected with a relative slack, so boundary
@@ -102,17 +87,19 @@ def prox_l11(X, lam):
 
     d, r = Xm.shape
     j = np.arange(1.0, d + 1.0)[:, None]
-    knots = np.vstack([(cums - j * abs_sorted)[1:], cums[-1:]])
-    rises = np.vstack([np.repeat(1.0 / j[:-1] - 1.0 / j[1:], r, axis=1),
-                       np.full((1, r), 1.0 / d)])
+    knots = np.empty((d, r))
+    np.subtract(cums[1:], j[1:] * abs_sorted[1:], out=knots[:-1])
+    knots[-1] = cums[-1]
+    rises = np.append(1.0 / j[:-1, 0] - 1.0 / j[1:, 0], 1.0 / d)
     # stable: among equal knots a c_d comes last, so the last knot is
     # where the widest column leaves and g reaches 0
     order = np.argsort(knots, axis=None, kind="stable")
     tau = knots.ravel()[order]
     # g starts at sum_inf with slope -r; the slope of each segment is -r
     # plus the rises of the breakpoints passed before it
-    slope = -r + np.concatenate(([0.0], np.cumsum(rises.ravel()[order])[:-1]))
-    below = sum_inf + np.cumsum(slope * np.diff(tau, prepend=0.0)) <= lam
+    slope = np.concatenate(([0.0], np.cumsum(rises[order[:-1] // r]))) - r
+    tau[1:] -= tau[:-1]  # now the segment widths, the first from 0
+    below = sum_inf + np.cumsum(slope * tau) <= lam
     below[-1] = True  # rounding may leave g there above a tiny lam
     passed = np.zeros(d * r, dtype=bool)
     passed[order[:np.argmax(below)]] = True
@@ -121,5 +108,7 @@ def prox_l11(X, lam):
     active = ~passed[-1]
     c_rho = cums[rho - 1, np.arange(r)]
     t = ((c_rho / rho)[active].sum() - lam) / (1.0 / rho[active]).sum()
-    mu = _shrink_levels(abs_sorted, cums, t)
-    return np.sign(Xm) * np.maximum(np.abs(Xm) - mu, 0.0)
+    # the shrink level of an active column on this segment; 0 where the
+    # column already fits in the l1 ball of radius t
+    mu = np.where(active, np.maximum((c_rho - t) / rho, 0.0), 0.0)
+    return np.sign(Xm) * np.maximum(A - mu, 0.0)

@@ -50,7 +50,7 @@ from .prox import (
 )
 
 _PRECOMPUTE_LIMIT = 1e8
-_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (np.zeros(1),))
+_POSV = scipy.linalg.get_lapack_funcs("posv", (np.zeros(1),))
 
 
 @dataclass
@@ -102,14 +102,15 @@ def _require_unit_columns(Dm, tol=1e-6):
 
 
 def _cholesky_solve(G, rhs):
-    """``cho_factor``/``cho_solve`` without scipy's per-call wrappers,
-    which cost more than the factorization at OMP sizes."""
-    c, info = _POTRF(G, lower=1, clean=0)
+    """Cholesky factor and solve in one LAPACK ``posv`` call, without
+    scipy's per-call wrappers, which cost more than the factorization at
+    OMP sizes."""
+    _, x, info = _POSV(G, rhs, lower=1)
     if info > 0:
         raise scipy.linalg.LinAlgError(
             f"{info}-th leading minor not positive definite"
         )
-    return _POTRS(c, rhs, lower=1)[0]
+    return x
 
 
 def _solve_spd(G, rhs):
@@ -121,29 +122,58 @@ def _solve_spd(G, rhs):
         return _cholesky_solve(G + ridge * np.eye(G.shape[0]), rhs)
 
 
-def _omp_gram(c0, gram_column, k):
+def _omp_gram(c0, gram_cols, k):
     """Greedy pursuit in the Gram domain.
 
-    ``c0`` holds the atom/data correlations and ``gram_column(j)`` the
-    j-th column of the atom Gram matrix. Returns the selected index list
-    (in selection order) and the refit coefficients.
+    ``c0`` holds the atom/data correlations and ``gram_cols(S)`` the Gram
+    block ``U[:, S]`` of the selected atoms. Each of the ``k >= 1`` steps
+    selects the atom of largest absolute correlation (ties keep the
+    smaller index), refits on the selection and updates the correlations
+    from that one block. Returns the selected indices (in selection
+    order) and the refit coefficients.
     """
-    d = c0.size
-    c = c0.copy()
-    selected = []
-    z = np.empty(0)
-    mask = np.zeros(d, dtype=bool)
-    for _ in range(k):
-        a = np.abs(c)
-        a[mask] = -1.0
-        j = int(np.argmax(a))
-        selected.append(j)
-        mask[j] = True
-        S = np.array(selected)
-        G = np.array([gram_column(jj)[S] for jj in selected]).T
-        z = _solve_spd(G, c0[S])
-        c = c0 - np.column_stack([gram_column(jj) for jj in selected]) @ z
+    selected = np.empty(k, dtype=np.intp)
+    a = np.abs(c0)
+    for i in range(k):
+        selected[i] = a.argmax()
+        S = selected[:i + 1]
+        US = gram_cols(S)
+        z = _solve_spd(US[S], c0[S])
+        if i + 1 < k:
+            a = np.abs(c0 - US @ z)
+            a[S] = -1.0
     return selected, z
+
+
+def _gram_columns(Dm, U=None):
+    """The ``gram_cols`` of :func:`_omp_gram` for the atoms ``Dm``: blocks
+    of the atom Gram ``U`` (formed here unless given), or products with
+    ``Dm`` when the Gram is above ``_PRECOMPUTE_LIMIT``."""
+    n, d = Dm.shape
+    if n * d <= _PRECOMPUTE_LIMIT and d * d <= _PRECOMPUTE_LIMIT:
+        U = Dm.T @ Dm if U is None else U
+        # C order (U[:, S] is F order), so the products with the block
+        # round as those with a row-major stack of its columns
+        return lambda S: U.take(S, axis=1)
+    return lambda S: Dm.T @ Dm[:, S]
+
+
+def _omp_coder(Dm, k):
+    """Validate ``k`` and the unit-norm atoms once and return a function
+    mapping a data vector to its OMP code and sorted support."""
+    n, d = Dm.shape
+    _check_sparsity(k, min(n, d))
+    _require_unit_columns(Dm)
+    gram_cols = _gram_columns(Dm)
+
+    def code(y):
+        c0 = Dm.T @ np.asarray(y, dtype=float).ravel()
+        selected, z = _omp_gram(c0, gram_cols, k)
+        x = np.zeros(d)
+        x[selected] = z
+        return x, np.sort(selected)
+
+    return code
 
 
 def omp(y, D, k):
@@ -161,27 +191,13 @@ def omp(y, D, k):
     support : ndarray
         Selected indices, sorted increasingly.
     """
-    Dm = dict_matrix(D)
-    yv = np.asarray(y, dtype=float).ravel()
-    n, d = Dm.shape
-    if not 1 <= k <= min(n, d):
-        raise ValueError(f"k={k} outside [1, {min(n, d)}]")
-    _require_unit_columns(Dm)
-    c0 = Dm.T @ yv
-    if n * d <= _PRECOMPUTE_LIMIT and d * d <= _PRECOMPUTE_LIMIT:
-        U = Dm.T @ Dm
-        selected, z = _omp_gram(c0, lambda j: U[:, j], k)
-    else:
-        selected, z = _omp_gram(c0, lambda j: Dm.T @ Dm[:, j], k)
-    x = np.zeros(d)
-    x[selected] = z
-    order = np.argsort(selected)
-    return x, np.array(selected)[order]
+    return _omp_coder(dict_matrix(D), k)(y)
 
 
 def _omp_columns(A, D, k):
     """OMP codes of every column of ``A``, stacked as columns."""
-    return np.column_stack([omp(A[:, i], D, k)[0] for i in range(A.shape[1])])
+    code = _omp_coder(dict_matrix(D), k)
+    return np.column_stack([code(A[:, i])[0] for i in range(A.shape[1])])
 
 
 def trick_omp(Y, D, B, k, ridge=0.0):
@@ -202,7 +218,8 @@ def trick_omp(Y, D, B, k, ridge=0.0):
         )
     N = op.data_product(Ym)
     Z = scipy.linalg.solve(op.gram(), N.T, assume_a="pos").T
-    S = [omp(Z[:, i], Dm, k)[1] for i in range(op.n_cols)]
+    code = _omp_coder(Dm, k)
+    S = [code(Z[:, i])[1] for i in range(op.n_cols)]
     codes = fixed_support_ls(Ym, Dm, op, S, ridge=ridge)
     cost = residual_cost(Ym, Dm, codes, op)
     return SolverReport(
@@ -245,11 +262,12 @@ def check_reduction_bound(D, B, k, delta, epsilon):
 
 
 def _precompute(Ym, Dm, op):
-    """Gram pieces shared by the gradient-based solvers."""
+    """Gram pieces shared by the Gram-domain solvers: ``D^T D``, ``B^T B``,
+    ``D^T Y B`` and ``||Y||_F^2``."""
     U = Dm.T @ Dm
     G = op.gram()
     M = Dm.T @ op.data_product(Ym)
-    return U, G, M
+    return U, G, M, float(np.einsum("ij,ij->", Ym, Ym))
 
 
 def _check_sparsity(k, d):
@@ -270,8 +288,9 @@ def iht(Y, D, B, k, X0=None, stop=None, ridge=0.0):
         X = HT_k(Z - eta * (D^T D Z B^T B - D^T Y B))
 
     with the inertia sequence ``beta = (1 + sqrt(1 + 4 beta^2)) / 2``,
-    stopping on the relative decrease of the raw residual. The final
-    support is refit by :func:`fixed_support_ls`.
+    stopping on the relative decrease of the raw residual, which the
+    trace evaluates in the Gram domain without a dense residual. The
+    final support is refit by :func:`fixed_support_ls`.
     """
     t0 = time.perf_counter()
     Dm = dict_matrix(D)
@@ -282,12 +301,12 @@ def iht(Y, D, B, k, X0=None, stop=None, ridge=0.0):
     d, r = Dm.shape[1], op.n_cols
     _check_sparsity(k, d)
     X0 = np.zeros((d, r)) if X0 is None else np.array(X0, dtype=float)
-    U, G, M = _precompute(Ym, Dm, op)
+    U, G, M, normY_sq = _precompute(Ym, Dm, op)
     eta = _stepsize(Dm, op)
 
     X, trace, iterations, termination = _fista_core(
         U, G, M, lambda V: hard_threshold_columns(V, k),
-        lambda X: residual_cost(Ym, Dm, X, op), X0, eta, stop,
+        _gram_cost(normY_sq, U, G, M), X0, eta, stop,
     )
     codes = fixed_support_ls(Ym, Dm, op, support_from_values(X), ridge=ridge)
     return SolverReport(
@@ -315,6 +334,10 @@ def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
     the cost through refits. A joint fixed-support refit finishes the
     estimate.
 
+    The sweeps run in the Gram domain: they keep ``D^T D X`` current and
+    score each update by its exact change of the cost, without a dense
+    residual or mixing matrix, so Khatri-Rao operators of any size work.
+
     With ``X0=None`` the sweeps start from ``X = 0``, and right after the
     first sweep the codes of :func:`trick_omp` are offered once as a
     joint candidate: they replace the iterate only if their cost is
@@ -334,74 +357,49 @@ def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
     _check_sparsity(k, d)
     stop = stop or StoppingRule()
     r = op.n_cols
-    Bm = op.materialize()
-    gram_b = op.gram()
     X = np.zeros((d, r)) if X0 is None else np.array(X0, dtype=float)
-    offer_greedy = (
-        X0 is None and r > 1 and not op.rank_deficient and k <= n
-    )
+    offer_greedy = X0 is None and r > 1 and not op.rank_deficient and k <= n
+    U, G, M, normY_sq = _precompute(Ym, Dm, op)
+    gram_cols = _gram_columns(Dm, U)
+    gram_cost = _gram_cost(normY_sq, U, G, M)
 
-    precompute = n * d <= _PRECOMPUTE_LIMIT and d * d <= _PRECOMPUTE_LIMIT
-    U = Dm.T @ Dm if precompute else None
-    M = (Dm.T @ Ym) @ Bm if precompute else None
-
-    R = Ym - Dm @ X @ Bm.T
-    cost = float(np.einsum("ij,ij->", R, R))
+    W = U @ X
+    cost = gram_cost(X)
     trace = [cost]
     iterations = 0
     termination = "max_iter"
     for _ in range(stop.max_iter):
         rejections = 0
         for p in range(r):
-            g_pp = gram_b[p, p]
+            g_pp = G[p, p]
             if g_pp <= 0.0:
                 rejections += 1
                 continue
-            Ax_p = Dm @ X[:, p]
-            Rp = R + np.outer(Ax_p, Bm[:, p])
-            if precompute:
-                c0 = (M[:, p] - (U @ X) @ gram_b[:, p] + (U @ X[:, p]) * g_pp) / g_pp
-                selected, z = _omp_gram(c0, lambda j: U[:, j], k)
-            else:
-                vb = (Rp @ Bm[:, p]) / g_pp
-                c0 = Dm.T @ vb
-                selected, z = _omp_gram(c0, lambda j: Dm.T @ Dm[:, j], k)
-            x_new = np.zeros(d)
-            x_new[selected] = z
-            Rc = Rp - np.outer(Dm @ x_new, Bm[:, p])
-            c_cand = float(np.einsum("ij,ij->", Rc, Rc))
-            if c_cand <= cost:
-                X[:, p] = x_new
-                R = Rc
-                cost = c_cand
-                continue
-            # rejected: refit the previous support by least squares
-            rejections += 1
-            S_old = np.flatnonzero(np.abs(X[:, p]) > 0)
-            if S_old.size:
-                # X is unchanged, so c0 still holds the column's correlations
-                if precompute:
-                    G_old = U[np.ix_(S_old, S_old)]
-                else:
-                    G_old = Dm[:, S_old].T @ Dm[:, S_old]
-                z_old = _solve_spd(G_old, c0[S_old])
-                x_refit = np.zeros(d)
-                x_refit[S_old] = z_old
-                Rf = Rp - np.outer(Dm @ x_refit, Bm[:, p])
-                c_refit = float(np.einsum("ij,ij->", Rf, Rf))
-                if c_refit <= cost:
-                    X[:, p] = x_refit
-                    R = Rf
-                    cost = c_refit
+            c0 = (M[:, p] - W @ G[:, p]) / g_pp + W[:, p]
+            # the cost changes by g_pp * (-z^T c0_S - base) when column p
+            # becomes z on S with U_SS z = c0_S
+            base = X[:, p] @ (W[:, p] - 2.0 * c0)
+            selected, z = _omp_gram(c0, gram_cols, k)
+            delta = -g_pp * (z @ c0[selected] + base)
+            if delta > 0.0:
+                # rejected: refit the previous support by least squares
+                rejections += 1
+                selected = np.flatnonzero(X[:, p])
+                if not selected.size:
+                    continue
+                z = _solve_spd(gram_cols(selected)[selected], c0[selected])
+                delta = -g_pp * (z @ c0[selected] + base)
+                if delta > 0.0:
+                    continue
+            X[:, p] = 0.0
+            X[selected, p] = z
+            W[:, p] = gram_cols(selected) @ z
+            cost = max(cost + delta, 0.0)
         if offer_greedy and iterations == 0:
             Xg = trick_omp(Ym, Dm, op, k, ridge=ridge).codes.values
-            Rg = Ym - Dm @ Xg @ Bm.T
-            c_greedy = float(np.einsum("ij,ij->", Rg, Rg))
+            c_greedy = gram_cost(Xg)
             if c_greedy < cost:
-                X = Xg
-                R = Rg
-                cost = c_greedy
-                rejections = 0
+                X, W, cost, rejections = Xg, U @ Xg, c_greedy, 0
         iterations += 1
         trace.append(cost)
         if stop.done(trace[-2], trace[-1]):
@@ -414,13 +412,11 @@ def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
             )
             break
     codes = fixed_support_ls(Ym, Dm, op, support_from_values(X), ridge=ridge)
-    final = residual_cost(Ym, Dm, codes, op)
-    if final <= cost:
-        trace.append(final)
-    else:
+    final = gram_cost(codes.values)
+    if final > cost:
         # numerically tied refit; keep the sweep iterate
-        codes = SparseCodes.from_values(X)
-        trace.append(cost)
+        codes, final = SparseCodes.from_values(X), cost
+    trace.append(final)
     return SolverReport(
         codes=codes,
         cost_trace=trace,
@@ -445,15 +441,22 @@ def lambda_max_mixed(Y, D, B):
     return float(lambda_max_block(Y, D, B).sum())
 
 
-def _penalized_objective(normY_sq, U, G, M, penalty):
-    """``0.5 ||Y - D X B^T||_F^2 + penalty(X)``, evaluated in the Gram domain."""
+def _gram_cost(normY_sq, U, G, M):
+    """``||Y - D X B^T||_F^2`` as ``||Y||^2 - 2<X, M> + <U X G, X>``, clamped
+    at 0, from the pieces of :func:`_precompute`."""
 
-    def objective(X):
+    def cost(X):
         fit = np.einsum("ij,ij->", U @ X @ G, X)
         cross = np.einsum("ij,ij->", X, M)
-        return 0.5 * max(normY_sq - 2.0 * cross + fit, 0.0) + penalty(X)
+        return max(normY_sq - 2.0 * cross + fit, 0.0)
 
-    return objective
+    return cost
+
+
+def _penalized_objective(normY_sq, U, G, M, penalty):
+    """``0.5 ||Y - D X B^T||_F^2 + penalty(X)``, evaluated in the Gram domain."""
+    cost = _gram_cost(normY_sq, U, G, M)
+    return lambda X: 0.5 * cost(X) + penalty(X)
 
 
 def _fista_core(U, G, M, prox, objective, X0, eta, stop):
@@ -569,10 +572,9 @@ def _convex_relaxation(Y, D, B, k, X0, stop, ridge, nonneg, check_alpha,
     d, r = Dm.shape[1], op.n_cols
     _check_sparsity(k, d)
     alpha = check_alpha(r)
-    U, G, M = _precompute(Ym, Dm, op)
+    U, G, M, normY_sq = _precompute(Ym, Dm, op)
     eta = _stepsize(Dm, op)
     prox, penalty = prox_penalty(alpha, M, eta)
-    normY_sq = float(np.einsum("ij,ij->", Ym, Ym))
     X0 = np.zeros((d, r)) if X0 is None else np.array(X0, dtype=float)
 
     X, trace, iterations, termination = _fista_core(

@@ -1,5 +1,6 @@
 """Property tests: each whole-matrix kernel equals a per-column reference,
-bit for bit."""
+bit for bit, and the shared-Gram OMP kernel equals its list-built
+reference."""
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mscdlra.prox import (
     nonneg_soft_threshold,
     soft_threshold,
 )
+from mscdlra.solvers import _gram_columns, _omp_gram, _solve_spd
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 shapes = st.tuples(st.integers(1, 12), st.integers(1, 6))
@@ -147,3 +149,54 @@ def test_assemble_normal_system_per_block(data, with_gram):
     for i, Si in enumerate(S):
         assert np.array_equal(idx[offs[i]:offs[i + 1]], Si)
         assert np.all(col[offs[i]:offs[i + 1]] == i)
+
+
+def reference_omp_gram(c0, gram_column, k):
+    """Greedy pursuit with the selected Gram rebuilt from single columns
+    and the correlations from a ``column_stack`` at every step."""
+    d = c0.size
+    c = c0.copy()
+    selected = []
+    z = np.empty(0)
+    mask = np.zeros(d, dtype=bool)
+    for _ in range(k):
+        a = np.abs(c)
+        a[mask] = -1.0
+        j = int(np.argmax(a))
+        selected.append(j)
+        mask[j] = True
+        S = np.array(selected)
+        G = np.array([gram_column(jj)[S] for jj in selected]).T
+        z = _solve_spd(G, c0[S])
+        c = c0 - np.column_stack([gram_column(jj) for jj in selected]) @ z
+    return selected, z
+
+
+@st.composite
+def omp_problems(draw):
+    """Unit-norm atoms, possibly with a duplicated atom, correlations
+    possibly rounded so that they tie, and any ``k`` up to ``d``; a
+    duplicate or ``k > n`` makes the selected Gram singular, which takes
+    the ridge retry of ``_solve_spd``."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D = rng.standard_normal((n, d))
+    if d > 1 and draw(st.booleans()):
+        src, dst = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2,
+                                 unique=True))
+        D[:, dst] = D[:, src]
+    D /= np.linalg.norm(D, axis=0)
+    c0 = D.T @ rng.standard_normal(n)
+    if draw(st.booleans()):
+        c0 = np.round(c0, 1)
+    return D, c0, draw(st.integers(1, d))
+
+
+@given(omp_problems())
+def test_omp_gram_matches_list_built_reference(case):
+    D, c0, k = case
+    U = D.T @ D
+    ref_sel, ref_z = reference_omp_gram(c0, lambda j: U[:, j], k)
+    sel, z = _omp_gram(c0, _gram_columns(D), k)
+    np.testing.assert_array_equal(sel, ref_sel)
+    np.testing.assert_array_equal(z, ref_z)

@@ -34,6 +34,26 @@ def test_msc_solve_writes_codes(msc_files, capsys):
     assert "residual=" in out
 
 
+@pytest.mark.parametrize("solver, args, flag", [
+    ("iht", ["--k", "0"], "--k"),
+    ("trick_omp", ["--k", "13"], "--k"),
+    ("block_fista", ["--k", "2", "--alpha", "2"], "--alpha"),
+    ("mixed_fista", ["--k", "2", "--alpha", "-1"], "--alpha"),
+])
+def test_msc_solve_rejected_argument_is_a_usage_error(msc_files, capsys, solver,
+                                                      args, flag):
+    paths, tmp = msc_files
+    with pytest.raises(SystemExit) as exc:
+        msc_main([
+            "solve", "--data", str(paths["Y"]), "--dict", str(paths["D"]),
+            "--mixing", str(paths["B"]), "--solver", solver, *args,
+            "--out", str(tmp / "run"),
+        ])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not (tmp / "run" / "codes.csv").exists()
+
+
 def test_msc_bench_with_config(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(

@@ -7,7 +7,8 @@ above 1e6 rows; each must agree with its materialized counterpart. The
 least-squares factor solve is checked against ``np.linalg.lstsq``,
 including its fallback on a singular Gram matrix, and ``fixed_support_ls``
 with a Khatri-Rao operator, on either side of the limit, against the
-explicit Kronecker least-squares oracle.
+explicit Kronecker least-squares oracle. ``homp`` on a Khatri-Rao
+operator above the limit must code as it does on the dense product.
 """
 
 import contextlib
@@ -23,8 +24,10 @@ from mscdlra.linalg import (
     MixingOperator,
     fixed_support_ls,
     khatri_rao,
+    normalize_columns,
     residual_cost,
 )
+from mscdlra.solvers import homp
 from mscdlra.tensor import _exact_ls_factor, mttkrp, unfold1, unfold2, unfold3
 
 RTOL = 1e-10
@@ -163,3 +166,17 @@ def test_fixed_support_ls_matches_kronecker_oracle(p, data, large):
     np.testing.assert_allclose(
         got, ref, rtol=0, atol=normal_equations_tol(np.linalg.cond(A), ref)
     )
+
+
+@given(kr_problems(), st.data())
+def test_homp_on_large_operator_matches_dense_product(p, data):
+    # k <= n: past n atoms the residual correlations are rounding noise,
+    # and OMP's picks among them differ between any two product orders
+    D = normalize_columns(p["D"])[0]
+    k = data.draw(st.integers(1, min(D.shape)))
+    ref = homp(p["Y"], D, khatri_rao(p["B"], p["C"]), k)
+    with large_operator_branches():
+        got = homp(p["Y"], D, MixingOperator(p["B"], p["C"]), k)
+    for a, b in zip(got.codes.support, ref.codes.support):
+        np.testing.assert_array_equal(a, b)
+    assert got.final_cost() == pytest.approx(ref.final_cost(), rel=RTOL)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mscdlra.prox import (
-    _shrink_levels,
     hard_threshold_columns,
     hard_threshold_k,
     nonneg_soft_threshold,
@@ -50,6 +49,22 @@ def l1_shrink_level(abs_desc, cumsum, target):
     mu_cand = (cumsum - target) / j
     rho = np.flatnonzero(abs_desc > mu_cand)[-1]
     return float(mu_cand[rho])
+
+
+def _shrink_levels(abs_sorted, cums, target):
+    """Shrinkage amounts mapping each column onto the l1 ball of radius
+    ``target``, from (d, r) magnitudes sorted decreasingly per column and
+    their cumulative sums: mu >= 0 with ``sum(max(abs - mu, 0)) == target``
+    per column (0 where the column already fits)."""
+    d = abs_sorted.shape[0]
+    j = np.arange(1, d + 1)[:, None]
+    mu_cand = (cums - target) / j
+    above = abs_sorted > mu_cand
+    # index of the last True per column; columns that already fit get 0
+    rho = d - 1 - np.argmax(above[::-1], axis=0)
+    mu = mu_cand[rho, np.arange(abs_sorted.shape[1])]
+    mu[cums[-1] <= target] = 0.0
+    return mu
 
 
 def bisection_prox_l11(X, lam, tol=1e-13):

@@ -3,8 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mscdlra import solvers
 from mscdlra.linalg import (
+    SparseCodes,
     fixed_support_ls,
     normalize_columns,
     residual_cost,
@@ -581,3 +585,77 @@ def test_supports_have_at_most_k_entries_after_threshold():
     X = np.array([[0.5, 2.0], [3.0, 1e-16], [0.0, 1.0]])
     S = support_from_values(X)
     assert [len(s) for s in S] == [2, 2]
+
+
+def omp_first_column(Y, D, B):
+    x, support = omp(Y[:, 0], D, 3)
+    return SparseCodes(x[:, None], [support])
+
+
+@pytest.mark.parametrize("solve", [
+    omp_first_column,
+    lambda Y, D, B: trick_omp(Y, D, B, 3).codes,
+    lambda Y, D, B: homp(Y, D, B, 3).codes,
+], ids=["omp", "trick_omp", "homp"])
+@pytest.mark.parametrize("seed", range(3))
+def test_gram_free_branch_matches_precomputed(monkeypatch, solve, seed):
+    """Above ``_PRECOMPUTE_LIMIT`` the greedy kernel takes its Gram blocks
+    from products with the dictionary instead of the precomputed Gram."""
+    inst = gen_msc_instance(
+        n=14, m=12, d=24, k=3, r=3, snr_db=30.0, cond_b=10.0, seed=6000 + seed
+    )
+    args = inst["Y"], inst["D"], inst["B"]
+    ref = solve(*args)
+    monkeypatch.setattr(solvers, "_PRECOMPUTE_LIMIT", 0)
+    got = solve(*args)
+    for a, b in zip(got.support, ref.support):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_allclose(got.values, ref.values, rtol=1e-10, atol=0)
+
+
+@st.composite
+def msc_instances(draw):
+    k = draw(st.integers(1, 3))
+    return k, gen_msc_instance(
+        n=draw(st.integers(6, 16)), m=draw(st.integers(6, 14)),
+        d=draw(st.integers(8, 24)), k=k, r=draw(st.integers(1, 4)),
+        snr_db=draw(st.sampled_from([10.0, 30.0, 60.0])),
+        cond_b=draw(st.sampled_from([1.0, 50.0])), seed=draw(st.integers(0, 10**6)),
+    )
+
+
+def assert_is_dense_cost(traced, Y, D, X, B):
+    dense = residual_cost(Y, D, X, B)
+    assert abs(traced - dense) <= 1e-10 * float(np.sum(Y**2))
+
+
+@settings(max_examples=40)
+@given(msc_instances())
+def test_homp_trace_is_the_dense_cost_and_never_increases(case):
+    k, inst = case
+    Y, D, B = inst["Y"], inst["D"], inst["B"]
+    rep = homp(Y, D, B, k)
+    # the last entry scores the returned codes: the refit or the sweep iterate
+    assert_is_dense_cost(rep.cost_trace[-1], Y, D, rep.codes, B)
+    trace = rep.cost_trace
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+
+@settings(max_examples=40)
+@given(msc_instances())
+def test_iht_trace_is_the_dense_cost(case):
+    k, inst = case
+    Y, D, B = inst["Y"], inst["D"], inst["B"]
+    iterates = []
+    core = solvers._fista_core
+
+    def keep_iterate(*args):
+        out = core(*args)
+        iterates.append(out[0])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_fista_core", keep_iterate)
+        rep = iht(Y, D, B, k)
+    # the last entry scores the last iterate, before the support refit
+    assert_is_dense_cost(rep.cost_trace[-1], Y, D, iterates[0], B)
