@@ -80,7 +80,8 @@ def msc_main(argv=None):
     p_bench.add_argument("test_name", choices=TEST_NAMES)
     p_bench.add_argument("--config", type=Path, help="key=value config file")
     p_bench.add_argument("--out", type=Path, required=True)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=int, default=None,
+                         help="master seed; overrides the config file's seed")
     p_bench.add_argument("--jobs", type=int, default=1)
 
     p_solve = sub.add_parser("solve", help="solve one problem from files")
@@ -95,7 +96,8 @@ def msc_main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "bench":
         overrides = _parse_config_file(args.config) if args.config else {}
-        overrides["seed"] = args.seed
+        if args.seed is not None:
+            overrides["seed"] = args.seed
         config = default_config(args.test_name, **overrides)
         run_experiment(config, jobs=args.jobs, out_dir=args.out)
         print(f"wrote {args.out / 'results.csv'}")

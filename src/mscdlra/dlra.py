@@ -23,6 +23,7 @@ from .linalg import (
     MixingOperator,
     SparseCodes,
     _kr_product,
+    _Problem,
     as_matrix,
     dict_matrix,
     spectral_norm_sq,
@@ -32,13 +33,13 @@ from .prox import hard_threshold_columns
 from .solvers import (
     StoppingRule,
     _alpha_vector,
+    _debias,
     _fista_core,
     _l1_prox_penalty,
     _omp_columns,
     _penalized_objective,
     _stepsize,
     _truncate_support,
-    debias,
 )
 from .tensor import (
     _exact_ls_factor,
@@ -169,26 +170,23 @@ def _projected_gradient_factor(Ymat, A, F0, inner_iters=50, ridge=_INNER_RIDGE):
     return F
 
 
-def _tuned_fista(Ymat, Dm, U, sigma_d_sq, op, alpha, k, tau, X_warm, stop,
-                 nonneg, tuner):
-    """Inner convex solve re-run until each column lands in [k, k + tau].
+def _tuned_fista(P, sigma_d_sq, alpha, k, tau, X_warm, stop, nonneg, tuner):
+    """Inner convex solve on the problem ``P`` re-run until each column
+    lands in [k, k + tau].
 
     Returns the raw (pre-debias) iterate, the adapted ratios and whether
     the round cap was hit.
     """
-    G = op.gram()
-    M = Dm.T @ op.data_product(Ymat)
-    lam_max = np.abs(M).max(axis=0)
-    eta = _stepsize(Dm, op, sigma_d_sq)
-    normY_sq = float(np.einsum("ij,ij->", Ymat, Ymat))
+    lam_max = np.abs(P.M).max(axis=0)
+    eta = _stepsize(P.D, P.op, sigma_d_sq)
     X = np.array(X_warm, dtype=float)
     alpha = np.array(alpha, dtype=float)
 
     rounds = 0
     while True:
         prox, penalty = _l1_prox_penalty(eta, alpha * lam_max, nonneg)
-        objective = _penalized_objective(normY_sq, U, G, M, penalty)
-        X, _, _, _ = _fista_core(U, G, M, prox, objective, X, eta, stop)
+        objective = _penalized_objective(P, penalty)
+        X, _, _, _ = _fista_core(P, prox, objective, X, eta, stop)
         nnz = np.count_nonzero(np.abs(X) > SUPPORT_TOL, axis=0)
         if np.all((k <= nnz) & (nnz <= k + tau)):
             return X, alpha, False
@@ -208,7 +206,6 @@ class _ModeCoder:
     def __init__(self, mode, X_init, alpha0, r):
         self.mode = mode
         self.D = mode.dictionary.matrix
-        self.U = self.D.T @ self.D
         self.sigma_d_sq = spectral_norm_sq(self.D)
         self.X_raw = np.array(X_init, dtype=float)
         self.codes = SparseCodes.from_values(self.X_raw)
@@ -219,13 +216,14 @@ class _ModeCoder:
         top-``k`` truncation when the tuner hit its round cap) and refit
         the codes there. Returns whether the cap was hit."""
         k, nonneg = self.mode.k, self.mode.nonneg
+        P = _Problem(Ymat, self.D, op)
         self.X_raw, self.alpha, capped = _tuned_fista(
-            Ymat, self.D, self.U, self.sigma_d_sq, op, self.alpha, k, tuner.tau,
-            self.X_raw, stop, nonneg, tuner,
+            P, self.sigma_d_sq, self.alpha, k, tuner.tau, self.X_raw, stop, nonneg,
+            tuner,
         )
         X = self.X_raw
         S = _truncate_support(X, k) if capped else support_from_values(X)
-        self.codes = debias(Ymat, self.D, op, S, k, nonneg=nonneg, ridge=_INNER_RIDGE)
+        self.codes = _debias(P, S, k, nonneg, _INNER_RIDGE)
         return capped
 
 
@@ -385,12 +383,13 @@ def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
     with inertia ``(l - 1) / (l + 2)`` and conservative Frobenius-norm
     stepsizes scaled by the safeguard ``mu <= 1``. Iterates stay
     feasible throughout. Stops at ``l_max`` or when the relative cost
-    decrease falls below ``rel_tol``.
+    change falls to ``rel_tol`` (see :class:`StoppingRule`).
     """
     if mu > 1.0 or mu <= 0.0:
         raise ValueError("stepsize safeguard mu must lie in (0, 1]")
     if l_max < 1:
         raise ValueError("l_max must be at least 1")
+    stop = StoppingRule(rel_tol=rel_tol)
     init = init or random_init(data, model, seed)
     Ymat, Y2, Y3, B, C = _fit_data(data, model, init)
     if model.nonneg:
@@ -447,11 +446,7 @@ def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
             codes[1] = SparseCodes.from_values(X1)
         cost_trace.append(_model_cost(data, model, codes[0], B, C))
         best.offer(cost_trace[-1], codes, B, C)
-        prev, cur = cost_trace[-2], cost_trace[-1]
-        if prev == 0.0:
-            if cur == 0.0:
-                break
-        elif abs(cur - prev) / prev < rel_tol:
+        if stop.done(cost_trace[-2], cost_trace[-1]):
             break
 
     return best.report(cost_trace, [], l, [])
@@ -459,6 +454,7 @@ def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
 
 def _nmf_hals(Y, r, iters=200, seed=0, rel_tol=1e-8):
     """Small nonnegative matrix factorization baseline, Y ~ A B^T."""
+    stop = StoppingRule(rel_tol=rel_tol)
     rng = np.random.default_rng(seed)
     A = rng.uniform(size=(Y.shape[0], r))
     B = rng.uniform(size=(Y.shape[1], r))
@@ -468,7 +464,7 @@ def _nmf_hals(Y, r, iters=200, seed=0, rel_tol=1e-8):
         B = _hals_factor(B, A.T @ A, Y.T @ A)
         R = Y - A @ B.T
         cur = float(np.einsum("ij,ij->", R, R))
-        if prev is not None and prev > 0 and abs(cur - prev) / prev < rel_tol:
+        if prev is not None and stop.done(prev, cur):
             break
         prev = cur
     return A, B

@@ -255,44 +255,95 @@ class SparseCodes:
         return [len(s) for s in self.support]
 
 
+def _coerce_data(Y, D, B):
+    """``Y``, ``D`` and ``B`` as validated arrays and operator, with ``Y``
+    of shape (rows of ``D``, rows of ``B``)."""
+    Dm, op, Ym = dict_matrix(D), as_mixing(B), as_matrix(Y, "Y")
+    expected = (Dm.shape[0], op.n_rows)
+    if Ym.shape != expected:
+        raise ValueError(f"Y has shape {Ym.shape}, expected {expected} "
+                         "(dictionary rows, mixing rows)")
+    return Ym, Dm, op
+
+
+class _Problem:
+    """One validated problem ``min ||Y - D X B^T||_F^2``, built once per
+    public call, with the pieces every solver works from: ``D``, ``op``,
+    ``Y``, ``d``, ``r``, the d x d atom Gram ``U = D^T D`` (8 d^2 bytes),
+    ``G = B^T B``, ``N = Y B``, ``M = D^T N`` and ``normY_sq``."""
+
+    def __init__(self, Y, D, B):
+        self.Y, self.D, self.op = _coerce_data(Y, D, B)
+        self.d, self.r = self.D.shape[1], self.op.n_cols
+        self.U = self.D.T @ self.D
+        self.G = self.op.gram()
+        self.N = self.op.data_product(self.Y)
+        self.M = self.D.T @ self.N
+        self.normY_sq = float(np.einsum("ij,ij->", self.Y, self.Y))
+
+    def start(self, X0):
+        """Zeros for ``X0=None``, else a validated (d, r) copy of ``X0``."""
+        if X0 is None:
+            return np.zeros((self.d, self.r))
+        X = np.asarray(X0, dtype=float)
+        if X.shape != (self.d, self.r):
+            raise ValueError(f"X0 has shape {X.shape}, expected {(self.d, self.r)}")
+        return as_matrix(X, "X0").copy()
+
+
 def _assemble_normal_system(Dm, U, V, N, S):
     """Gram matrix and right-hand side of the fixed-support system.
 
     The unknowns are the support entries taken column by column; block
-    ``(i, j)`` of the Gram matrix is ``V[i, j] * (D^T D)[S_i, S_j]``.
-    Also returns the row and the code column of each unknown.
+    ``(i, j)`` of the Gram matrix is ``V[i, j] * U[S_i, S_j]`` with
+    ``U = D^T D``. Also returns the row and the code column of each
+    unknown.
     """
     idx = np.concatenate(S)
     col = np.repeat(np.arange(len(S)), [len(s) for s in S])
-    if U is not None:
-        Usub = U[np.ix_(idx, idx)]
-    else:
-        Usub = np.block([[Dm[:, Si].T @ Dm[:, Sj] for Sj in S] for Si in S])
-    G = V[np.ix_(col, col)] * Usub
+    G = V[np.ix_(col, col)] * U[np.ix_(idx, idx)]
     g = np.concatenate([Dm[:, Si].T @ N[:, i] for i, Si in enumerate(S)])
     return G, g, idx, col
 
 
-def _solve_on_support(Y, D, B, S, ridge, solve):
-    """Validation, normal system and scatter shared by the fixed-support
-    solvers; ``solve(G, g)`` returns the unknowns of the system."""
-    Dm = dict_matrix(D)
-    op = as_mixing(B)
-    Ym = as_matrix(Y, "Y")
+def _solve_on_support(P, S, ridge, solve):
+    """Support checks, normal system and scatter shared by the
+    fixed-support solvers on the problem ``P``; ``solve(G, g)`` returns
+    the unknowns of the system."""
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    d = Dm.shape[1]
-    r = op.n_cols
-    if len(S) != r:
-        raise ValueError(f"support has {len(S)} columns, mixing has {r}")
-    S = canonical_support(S, d)
+    if len(S) != P.r:
+        raise ValueError(f"support has {len(S)} columns, mixing has {P.r}")
+    S = canonical_support(S, P.d)
     if sum(len(s) for s in S) == 0:
-        return SparseCodes.zeros(d, r)
-    U = Dm.T @ Dm if d * d <= 1e8 else None
-    G, g, idx, col = _assemble_normal_system(Dm, U, op.gram(), op.data_product(Ym), S)
-    X = np.zeros((d, r))
+        return SparseCodes.zeros(P.d, P.r)
+    G, g, idx, col = _assemble_normal_system(P.D, P.U, P.G, P.N, S)
+    X = np.zeros((P.d, P.r))
     X[idx, col] = solve(G, g)
     return SparseCodes.from_values(X)
+
+
+def _ls_on_support(P, S, ridge, auto_ridge=True):
+    """:func:`fixed_support_ls` on the problem ``P``."""
+
+    def solve(G, g):
+        eff_ridge = ridge
+        if auto_ridge:
+            cond = np.linalg.cond(G)
+            if not np.isfinite(cond) or cond > _COND_LIMIT:
+                eff_ridge = max(ridge, _RIDGE_SCALE * np.trace(G) / G.shape[0])
+        A = G if eff_ridge == 0.0 else G + eff_ridge * np.eye(G.shape[0])
+        try:
+            cf = scipy.linalg.cho_factor(A, lower=True)
+            return scipy.linalg.cho_solve(cf, g)
+        except scipy.linalg.LinAlgError as exc:
+            if eff_ridge == 0.0:
+                raise ValueError(
+                    "singular fixed-support system; pass ridge > 0 or enable auto_ridge"
+                ) from exc
+            return np.linalg.lstsq(A, g, rcond=None)[0]
+
+    return _solve_on_support(P, S, ridge, solve)
 
 
 def fixed_support_ls(Y, D, B, S, ridge=0.0, auto_ridge=True):
@@ -301,7 +352,8 @@ def fixed_support_ls(Y, D, B, S, ridge=0.0, auto_ridge=True):
     Minimizes ``||Y - D X B^T||_F^2`` over ``X`` supported on ``S``,
     assembling the normal equations blockwise (block ``(i, j)`` equals
     ``(B^T B)_{ij} * (D^T D)_{S_i S_j}``) so the Kronecker system is
-    never formed. When the assembled system has condition number above
+    never formed; the d x d atom Gram ``D^T D`` is formed once per call
+    (8 d^2 bytes). When the assembled system has condition number above
     1e10 and ``auto_ridge`` is on, a ridge of ``1e-10 * trace / size``
     (at least ``ridge``) is added.
 
@@ -323,25 +375,7 @@ def fixed_support_ls(Y, D, B, S, ridge=0.0, auto_ridge=True):
     -------
     SparseCodes
     """
-
-    def solve(G, g):
-        eff_ridge = ridge
-        if auto_ridge:
-            cond = np.linalg.cond(G)
-            if not np.isfinite(cond) or cond > _COND_LIMIT:
-                eff_ridge = max(ridge, _RIDGE_SCALE * np.trace(G) / G.shape[0])
-        A = G if eff_ridge == 0.0 else G + eff_ridge * np.eye(G.shape[0])
-        try:
-            cf = scipy.linalg.cho_factor(A, lower=True)
-            return scipy.linalg.cho_solve(cf, g)
-        except scipy.linalg.LinAlgError as exc:
-            if eff_ridge == 0.0:
-                raise ValueError(
-                    "singular fixed-support system; pass ridge > 0 or enable auto_ridge"
-                ) from exc
-            return np.linalg.lstsq(A, g, rcond=None)[0]
-
-    return _solve_on_support(Y, D, B, S, ridge, solve)
+    return _ls_on_support(_Problem(Y, D, B), S, ridge, auto_ridge)
 
 
 def residual_cost(Y, D, X, B):
@@ -350,17 +384,11 @@ def residual_cost(Y, D, X, B):
     For a large Khatri-Rao operator the reconstruction is never
     materialized; the cost is expanded through Gram products instead.
     """
-    Dm = dict_matrix(D)
-    op = as_mixing(B)
-    Ym = as_matrix(Y, "Y")
+    Ym, Dm, op = _coerce_data(Y, D, B)
     Xm = X.values if isinstance(X, SparseCodes) else as_matrix(X, "X")
     if Xm.shape != (Dm.shape[1], op.n_cols):
         raise ValueError(
             f"codes have shape {Xm.shape}, expected {(Dm.shape[1], op.n_cols)}"
-        )
-    if Ym.shape[0] != Dm.shape[0] or Ym.shape[1] != op.n_rows:
-        raise ValueError(
-            f"data has shape {Ym.shape}, expected {(Dm.shape[0], op.n_rows)}"
         )
     A = Dm @ Xm
     if op.kind == "dense" or op.n_rows <= _MATERIALIZE_LIMIT:

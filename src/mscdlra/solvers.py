@@ -17,6 +17,8 @@ Khatri-Rao structured). Five heuristic families are provided:
 All solvers are deterministic, never mutate their inputs, and report the
 estimated codes together with a cost trace. Each rejects a dictionary
 whose columns are not unit norm, naming the column furthest from it.
+Each validates its arguments once into a :class:`mscdlra.linalg._Problem`
+and forms the d x d atom Gram ``D^T D`` once per call (8 d^2 bytes).
 """
 
 import itertools
@@ -32,12 +34,13 @@ import scipy.optimize
 from .linalg import (
     _RIDGE_SCALE,
     SparseCodes,
+    _coerce_data,
+    _ls_on_support,
+    _Problem,
     _solve_on_support,
-    as_matrix,
     as_mixing,
     canonical_support,
     dict_matrix,
-    fixed_support_ls,
     residual_cost,
     spectral_norm_sq,
     support_from_values,
@@ -49,7 +52,6 @@ from .prox import (
     soft_threshold,
 )
 
-_PRECOMPUTE_LIMIT = 1e8
 _POSV = scipy.linalg.get_lapack_funcs("posv", (np.zeros(1),))
 
 
@@ -122,14 +124,14 @@ def _solve_spd(G, rhs):
         return _cholesky_solve(G + ridge * np.eye(G.shape[0]), rhs)
 
 
-def _omp_gram(c0, gram_cols, k):
+def _omp_gram(c0, U, k):
     """Greedy pursuit in the Gram domain.
 
-    ``c0`` holds the atom/data correlations and ``gram_cols(S)`` the Gram
-    block ``U[:, S]`` of the selected atoms. Each of the ``k >= 1`` steps
-    selects the atom of largest absolute correlation (ties keep the
-    smaller index), refits on the selection and updates the correlations
-    from that one block. Returns the selected indices (in selection
+    ``c0`` holds the atom/data correlations and ``U`` the atom Gram.
+    Each of the ``k >= 1`` steps selects the atom of largest absolute
+    correlation (ties keep the smaller index), refits on the selection
+    and updates the correlations from the one Gram block ``U[:, S]`` of
+    the selected atoms. Returns the selected indices (in selection
     order) and the refit coefficients.
     """
     selected = np.empty(k, dtype=np.intp)
@@ -137,7 +139,9 @@ def _omp_gram(c0, gram_cols, k):
     for i in range(k):
         selected[i] = a.argmax()
         S = selected[:i + 1]
-        US = gram_cols(S)
+        # C order (U[:, S] is F order), so the products with the block
+        # round as those with a row-major stack of its columns
+        US = U.take(S, axis=1)
         z = _solve_spd(US[S], c0[S])
         if i + 1 < k:
             a = np.abs(c0 - US @ z)
@@ -145,30 +149,18 @@ def _omp_gram(c0, gram_cols, k):
     return selected, z
 
 
-def _gram_columns(Dm, U=None):
-    """The ``gram_cols`` of :func:`_omp_gram` for the atoms ``Dm``: blocks
-    of the atom Gram ``U`` (formed here unless given), or products with
-    ``Dm`` when the Gram is above ``_PRECOMPUTE_LIMIT``."""
-    n, d = Dm.shape
-    if n * d <= _PRECOMPUTE_LIMIT and d * d <= _PRECOMPUTE_LIMIT:
-        U = Dm.T @ Dm if U is None else U
-        # C order (U[:, S] is F order), so the products with the block
-        # round as those with a row-major stack of its columns
-        return lambda S: U.take(S, axis=1)
-    return lambda S: Dm.T @ Dm[:, S]
-
-
-def _omp_coder(Dm, k):
+def _omp_coder(Dm, k, U=None):
     """Validate ``k`` and the unit-norm atoms once and return a function
-    mapping a data vector to its OMP code and sorted support."""
+    mapping a data vector to its OMP code and sorted support; ``U`` is
+    the atom Gram, formed here unless given."""
     n, d = Dm.shape
     _check_sparsity(k, min(n, d))
     _require_unit_columns(Dm)
-    gram_cols = _gram_columns(Dm)
+    U = Dm.T @ Dm if U is None else U
 
     def code(y):
         c0 = Dm.T @ np.asarray(y, dtype=float).ravel()
-        selected, z = _omp_gram(c0, gram_cols, k)
+        selected, z = _omp_gram(c0, U, k)
         x = np.zeros(d)
         x[selected] = z
         return x, np.sort(selected)
@@ -200,6 +192,19 @@ def _omp_columns(A, D, k):
     return np.column_stack([code(A[:, i])[0] for i in range(A.shape[1])])
 
 
+def _trick_omp_codes(P, k, ridge):
+    """The codes of :func:`trick_omp` on the problem ``P``."""
+    if P.op.rank_deficient:
+        raise ValueError(
+            "mixing factor is rank deficient "
+            f"(smallest singular value {P.op.min_singular_value:.3e})"
+        )
+    Z = scipy.linalg.solve(P.G, P.N.T, assume_a="pos").T
+    code = _omp_coder(P.D, k, P.U)
+    S = [code(Z[:, i])[1] for i in range(P.r)]
+    return _ls_on_support(P, S, ridge)
+
+
 def trick_omp(Y, D, B, k, ridge=0.0):
     """Columnwise greedy coding of the projected data, then debiasing.
 
@@ -208,20 +213,9 @@ def trick_omp(Y, D, B, k, ridge=0.0):
     the small-residual regime where the projection preserves supports.
     """
     t0 = time.perf_counter()
-    Dm = dict_matrix(D)
-    op = as_mixing(B)
-    Ym = as_matrix(Y, "Y")
-    if op.rank_deficient:
-        raise ValueError(
-            "mixing factor is rank deficient "
-            f"(smallest singular value {op.min_singular_value:.3e})"
-        )
-    N = op.data_product(Ym)
-    Z = scipy.linalg.solve(op.gram(), N.T, assume_a="pos").T
-    code = _omp_coder(Dm, k)
-    S = [code(Z[:, i])[1] for i in range(op.n_cols)]
-    codes = fixed_support_ls(Ym, Dm, op, S, ridge=ridge)
-    cost = residual_cost(Ym, Dm, codes, op)
+    P = _Problem(Y, D, B)
+    codes = _trick_omp_codes(P, k, ridge)
+    cost = residual_cost(P.Y, P.D, codes, P.op)
     return SolverReport(
         codes=codes,
         cost_trace=[cost],
@@ -261,15 +255,6 @@ def check_reduction_bound(D, B, k, delta, epsilon):
     return float(np.sqrt(delta + epsilon / s_b**2) / s_2k)
 
 
-def _precompute(Ym, Dm, op):
-    """Gram pieces shared by the Gram-domain solvers: ``D^T D``, ``B^T B``,
-    ``D^T Y B`` and ``||Y||_F^2``."""
-    U = Dm.T @ Dm
-    G = op.gram()
-    M = Dm.T @ op.data_product(Ym)
-    return U, G, M, float(np.einsum("ij,ij->", Ym, Ym))
-
-
 def _check_sparsity(k, d):
     if not 1 <= k <= d:
         raise ValueError(f"sparsity level k={k} must lie in [1, {d}]")
@@ -292,30 +277,11 @@ def iht(Y, D, B, k, X0=None, stop=None, ridge=0.0):
     trace evaluates in the Gram domain without a dense residual. The
     final support is refit by :func:`fixed_support_ls`.
     """
-    t0 = time.perf_counter()
-    Dm = dict_matrix(D)
-    op = as_mixing(B)
-    Ym = as_matrix(Y, "Y")
-    _require_unit_columns(Dm)
-    stop = stop or StoppingRule()
-    d, r = Dm.shape[1], op.n_cols
-    _check_sparsity(k, d)
-    X0 = np.zeros((d, r)) if X0 is None else np.array(X0, dtype=float)
-    U, G, M, normY_sq = _precompute(Ym, Dm, op)
-    eta = _stepsize(Dm, op)
 
-    X, trace, iterations, termination = _fista_core(
-        U, G, M, lambda V: hard_threshold_columns(V, k),
-        _gram_cost(normY_sq, U, G, M), X0, eta, stop,
-    )
-    codes = fixed_support_ls(Ym, Dm, op, support_from_values(X), ridge=ridge)
-    return SolverReport(
-        codes=codes,
-        cost_trace=trace,
-        iterations=iterations,
-        termination=termination,
-        wall_time=time.perf_counter() - t0,
-    )
+    def prox_objective(P, eta):
+        return (lambda V: hard_threshold_columns(V, k)), _gram_cost(P)
+
+    return _proximal_solve(Y, D, B, k, X0, stop, ridge, False, prox_objective)
 
 
 def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
@@ -349,19 +315,14 @@ def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
     candidate is offered.
     """
     t0 = time.perf_counter()
-    Dm = dict_matrix(D)
-    op = as_mixing(B)
-    Ym = as_matrix(Y, "Y")
-    _require_unit_columns(Dm)
-    n, d = Dm.shape
-    _check_sparsity(k, d)
+    P = _Problem(Y, D, B)
+    _require_unit_columns(P.D)
+    _check_sparsity(k, P.d)
     stop = stop or StoppingRule()
-    r = op.n_cols
-    X = np.zeros((d, r)) if X0 is None else np.array(X0, dtype=float)
-    offer_greedy = X0 is None and r > 1 and not op.rank_deficient and k <= n
-    U, G, M, normY_sq = _precompute(Ym, Dm, op)
-    gram_cols = _gram_columns(Dm, U)
-    gram_cost = _gram_cost(normY_sq, U, G, M)
+    n, r, U, G, M = P.D.shape[0], P.r, P.U, P.G, P.M
+    X = P.start(X0)
+    offer_greedy = X0 is None and r > 1 and not P.op.rank_deficient and k <= n
+    gram_cost = _gram_cost(P)
 
     W = U @ X
     cost = gram_cost(X)
@@ -379,7 +340,7 @@ def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
             # the cost changes by g_pp * (-z^T c0_S - base) when column p
             # becomes z on S with U_SS z = c0_S
             base = X[:, p] @ (W[:, p] - 2.0 * c0)
-            selected, z = _omp_gram(c0, gram_cols, k)
+            selected, z = _omp_gram(c0, U, k)
             delta = -g_pp * (z @ c0[selected] + base)
             if delta > 0.0:
                 # rejected: refit the previous support by least squares
@@ -387,16 +348,16 @@ def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
                 selected = np.flatnonzero(X[:, p])
                 if not selected.size:
                     continue
-                z = _solve_spd(gram_cols(selected)[selected], c0[selected])
+                z = _solve_spd(U.take(selected, axis=1)[selected], c0[selected])
                 delta = -g_pp * (z @ c0[selected] + base)
                 if delta > 0.0:
                     continue
             X[:, p] = 0.0
             X[selected, p] = z
-            W[:, p] = gram_cols(selected) @ z
+            W[:, p] = U.take(selected, axis=1) @ z
             cost = max(cost + delta, 0.0)
         if offer_greedy and iterations == 0:
-            Xg = trick_omp(Ym, Dm, op, k, ridge=ridge).codes.values
+            Xg = _trick_omp_codes(P, k, ridge).values
             c_greedy = gram_cost(Xg)
             if c_greedy < cost:
                 X, W, cost, rejections = Xg, U @ Xg, c_greedy, 0
@@ -411,7 +372,7 @@ def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
                 "every column update was rejected in one sweep", RuntimeWarning
             )
             break
-    codes = fixed_support_ls(Ym, Dm, op, support_from_values(X), ridge=ridge)
+    codes = _ls_on_support(P, support_from_values(X), ridge)
     final = gram_cost(codes.values)
     if final > cost:
         # numerically tied refit; keep the sweep iterate
@@ -429,10 +390,8 @@ def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
 def lambda_max_block(Y, D, B):
     """Per-column regularization levels above which the columnwise l1
     relaxation returns exactly zero: ``||D^T Y B_i||_inf`` for each i."""
-    Dm = dict_matrix(D)
-    op = as_mixing(B)
-    M = Dm.T @ op.data_product(as_matrix(Y, "Y"))
-    return np.abs(M).max(axis=0)
+    Ym, Dm, op = _coerce_data(Y, D, B)
+    return np.abs(Dm.T @ op.data_product(Ym)).max(axis=0)
 
 
 def lambda_max_mixed(Y, D, B):
@@ -441,9 +400,10 @@ def lambda_max_mixed(Y, D, B):
     return float(lambda_max_block(Y, D, B).sum())
 
 
-def _gram_cost(normY_sq, U, G, M):
+def _gram_cost(P):
     """``||Y - D X B^T||_F^2`` as ``||Y||^2 - 2<X, M> + <U X G, X>``, clamped
-    at 0, from the pieces of :func:`_precompute`."""
+    at 0, from the Gram pieces of the problem ``P``."""
+    normY_sq, U, G, M = P.normY_sq, P.U, P.G, P.M
 
     def cost(X):
         fit = np.einsum("ij,ij->", U @ X @ G, X)
@@ -453,20 +413,22 @@ def _gram_cost(normY_sq, U, G, M):
     return cost
 
 
-def _penalized_objective(normY_sq, U, G, M, penalty):
+def _penalized_objective(P, penalty):
     """``0.5 ||Y - D X B^T||_F^2 + penalty(X)``, evaluated in the Gram domain."""
-    cost = _gram_cost(normY_sq, U, G, M)
+    cost = _gram_cost(P)
     return lambda X: 0.5 * cost(X) + penalty(X)
 
 
-def _fista_core(U, G, M, prox, objective, X0, eta, stop):
+def _fista_core(P, prox, objective, X0, eta, stop):
     """Inertial proximal gradient iterations shared by the iterative solvers.
 
+    The gradient comes from the Gram pieces of the problem ``P``;
     ``prox`` maps a gradient-step point to the next iterate and
     ``objective`` scores an iterate for the trace and the stopping rule.
     Returns the final iterate, the objective trace, the iteration count
     and the termination reason.
     """
+    U, G, M = P.U, P.G, P.M
     X = X0.copy()
     Z = X0.copy()
     beta = 1.0
@@ -493,13 +455,8 @@ def _truncate_support(X, k):
     return support_from_values(hard_threshold_columns(X, k))
 
 
-def fixed_support_nnls(Y, D, B, S, ridge=0.0):
-    """Nonnegative least-squares codes for a fixed support.
-
-    Solves the support-restricted normal system under ``X >= 0`` with a
-    small ridge, through a Cholesky factor fed to the Lawson-Hanson
-    solver. Validates its arguments like :func:`fixed_support_ls`.
-    """
+def _nnls_on_support(P, S, ridge):
+    """:func:`fixed_support_nnls` on the problem ``P``."""
 
     def solve(G, g):
         eff = max(ridge, _RIDGE_SCALE * np.trace(G) / G.shape[0])
@@ -507,7 +464,26 @@ def fixed_support_nnls(Y, D, B, S, ridge=0.0):
         b = scipy.linalg.solve_triangular(L, g, trans="T", lower=False)
         return scipy.optimize.nnls(L, b)[0]
 
-    return _solve_on_support(Y, D, B, S, ridge, solve)
+    return _solve_on_support(P, S, ridge, solve)
+
+
+def fixed_support_nnls(Y, D, B, S, ridge=0.0):
+    """Nonnegative least-squares codes for a fixed support.
+
+    Solves the support-restricted normal system under ``X >= 0`` with a
+    small ridge, through a Cholesky factor fed to the Lawson-Hanson
+    solver. Validates its arguments like :func:`fixed_support_ls`.
+    """
+    return _nnls_on_support(_Problem(Y, D, B), S, ridge)
+
+
+def _debias(P, S, k, nonneg, ridge):
+    """:func:`debias` on the problem ``P``."""
+    S = canonical_support(S, P.d)
+    solve = _nnls_on_support if nonneg else _ls_on_support
+    if any(len(s) > k for s in S):
+        S = _truncate_support(solve(P, S, ridge).values, k)
+    return solve(P, S, ridge)
 
 
 def debias(Y, D, B, S, k, nonneg=False, ridge=0.0):
@@ -518,15 +494,7 @@ def debias(Y, D, B, S, k, nonneg=False, ridge=0.0):
     again. With ``nonneg`` the refit is a nonnegative least squares with
     a small ridge, which may leave fewer than ``k`` nonzeros.
     """
-    Dm = dict_matrix(D)
-    op = as_mixing(B)
-    Ym = as_matrix(Y, "Y")
-    S = canonical_support(S, Dm.shape[1])
-    solve = fixed_support_nnls if nonneg else fixed_support_ls
-    if any(len(s) > k for s in S):
-        full = solve(Ym, Dm, op, S, ridge=ridge)
-        S = _truncate_support(full.values, k)
-    return solve(Ym, Dm, op, S, ridge=ridge)
+    return _debias(_Problem(Y, D, B), S, k, nonneg, ridge)
 
 
 def _l1_prox_penalty(eta, lam, nonneg):
@@ -555,33 +523,25 @@ def _alpha_vector(alpha, r):
     return a
 
 
-def _convex_relaxation(Y, D, B, k, X0, stop, ridge, nonneg, check_alpha,
-                       prox_penalty):
-    """Body shared by :func:`block_fista` and :func:`mixed_fista`.
+def _proximal_solve(Y, D, B, k, X0, stop, ridge, nonneg, prox_objective):
+    """Body shared by :func:`iht`, :func:`block_fista` and :func:`mixed_fista`.
 
-    ``check_alpha(r)`` validates the ratios and returns them;
-    ``prox_penalty(alpha, M, eta)`` builds the prox and the penalty from
-    the correlations ``M = D^T Y B`` and the stepsize.
+    ``prox_objective(P, eta)`` validates the solver's own parameters and
+    returns the prox and the traced objective for the problem ``P`` and
+    the stepsize. The top-``k`` support of the last iterate is refit by
+    :func:`debias` (nonnegative when ``nonneg``).
     """
     t0 = time.perf_counter()
-    Dm = dict_matrix(D)
-    op = as_mixing(B)
-    Ym = as_matrix(Y, "Y")
-    _require_unit_columns(Dm)
+    P = _Problem(Y, D, B)
+    _require_unit_columns(P.D)
     stop = stop or StoppingRule()
-    d, r = Dm.shape[1], op.n_cols
-    _check_sparsity(k, d)
-    alpha = check_alpha(r)
-    U, G, M, normY_sq = _precompute(Ym, Dm, op)
-    eta = _stepsize(Dm, op)
-    prox, penalty = prox_penalty(alpha, M, eta)
-    X0 = np.zeros((d, r)) if X0 is None else np.array(X0, dtype=float)
-
+    _check_sparsity(k, P.d)
+    eta = _stepsize(P.D, P.op)
+    prox, objective = prox_objective(P, eta)
     X, trace, iterations, termination = _fista_core(
-        U, G, M, prox, _penalized_objective(normY_sq, U, G, M, penalty), X0, eta, stop
+        P, prox, objective, P.start(X0), eta, stop
     )
-    S = _truncate_support(X, k)
-    codes = debias(Ym, Dm, op, S, k, nonneg=nonneg, ridge=ridge)
+    codes = _debias(P, _truncate_support(X, k), k, nonneg, ridge)
     return SolverReport(
         codes=codes,
         cost_trace=trace,
@@ -602,13 +562,12 @@ def block_fista(Y, D, B, alpha, k, X0=None, stop=None, nonneg=False, ridge=0.0):
     (nonnegative least squares when ``nonneg``).
     """
 
-    def prox_penalty(a, M, eta):
-        return _l1_prox_penalty(eta, a * np.abs(M).max(axis=0), nonneg)
+    def prox_objective(P, eta):
+        lam = _alpha_vector(alpha, P.r) * np.abs(P.M).max(axis=0)
+        prox, penalty = _l1_prox_penalty(eta, lam, nonneg)
+        return prox, _penalized_objective(P, penalty)
 
-    return _convex_relaxation(
-        Y, D, B, k, X0, stop, ridge, nonneg,
-        lambda r: _alpha_vector(alpha, r), prox_penalty,
-    )
+    return _proximal_solve(Y, D, B, k, X0, stop, ridge, nonneg, prox_objective)
 
 
 def _l11_prox_penalty(a, M, eta):
@@ -635,13 +594,12 @@ def mixed_fista(Y, D, B, alpha, k, X0=None, stop=None, ridge=0.0):
     debiasing follow :func:`block_fista`.
     """
 
-    def check_alpha(r):
+    def prox_objective(P, eta):
         if not np.isscalar(alpha):
             raise ValueError("alpha must be a scalar ratio")
         if alpha < 0 or alpha > 1:
             raise ValueError("alpha must lie in [0, 1]")
-        return float(alpha)
+        prox, penalty = _l11_prox_penalty(float(alpha), P.M, eta)
+        return prox, _penalized_objective(P, penalty)
 
-    return _convex_relaxation(
-        Y, D, B, k, X0, stop, ridge, False, check_alpha, _l11_prox_penalty
-    )
+    return _proximal_solve(Y, D, B, k, X0, stop, ridge, False, prox_objective)

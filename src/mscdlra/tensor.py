@@ -13,6 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import _kr_product
+from .solvers import StoppingRule
 
 
 @dataclass(frozen=True)
@@ -142,14 +143,16 @@ def cpd_als(T, r, iters=200, nonneg=False, seed=0, rel_tol=1e-8):
     unfoldings for the unconstrained model, one columnwise nonnegative
     update per factor for the nonnegative one. After an ALS sweep the
     columns of B and C are normalized with the scales absorbed into A.
-    Stops after ``iters`` sweeps or when the relative cost decrease
-    falls below ``rel_tol``. The cost ``||T - [[A, B, C]]||^2`` is scored
-    by its Gram expansion ``||T||^2 - 2 <A, unfold1(T) (B kr C)> +
-    <A^T A * B^T B, C^T C>``, clamped at 0, without forming the model.
+    Stops after ``iters`` sweeps or when the relative cost change falls
+    to ``rel_tol`` (see :class:`mscdlra.solvers.StoppingRule`). The cost
+    ``||T - [[A, B, C]]||^2`` is scored by its Gram expansion ``||T||^2 -
+    2 <A, unfold1(T) (B kr C)> + <A^T A * B^T B, C^T C>``, clamped at 0,
+    without forming the model.
     """
     T = as_tensor3(T)
     if r < 1:
         raise ValueError("rank must be at least 1")
+    stop = StoppingRule(rel_tol=rel_tol)
     n, m1, m2 = T.shape
     rng = np.random.default_rng(seed)
     if nonneg:
@@ -172,8 +175,8 @@ def cpd_als(T, r, iters=200, nonneg=False, seed=0, rel_tol=1e-8):
         fit = np.einsum("ij,ij->", (A.T @ A) * (B.T @ B), C.T @ C)
         return max(float(norm_sq - 2.0 * cross + fit), 0.0), mtt1
 
-    prev, mtt1 = cost(A, B, C)
-    trace = [prev]
+    cur, mtt1 = cost(A, B, C)
+    trace = [cur]
     for _ in range(iters):
         A = update(A, (B.T @ B) * (C.T @ C), mtt1)
         B, C = _tensor_factor_updates(update, A, B, C, Y2, Y3, True)
@@ -187,10 +190,7 @@ def cpd_als(T, r, iters=200, nonneg=False, seed=0, rel_tol=1e-8):
 
         cur, mtt1 = cost(A, B, C)
         trace.append(cur)
-        if prev > 0 and abs(cur - prev) / prev < rel_tol:
+        if stop.done(trace[-2], trace[-1]):
             break
-        if prev == 0.0 and cur == 0.0:
-            break
-        prev = cur
     factors = CpdFactors(A, B, C)
     return factors, trace

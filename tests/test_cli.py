@@ -73,6 +73,21 @@ def test_msc_bench_with_config(tmp_path, capsys):
     assert "seed=3" in (out_dir / "run_meta.txt").read_text()
 
 
+def test_msc_bench_seed_from_config_unless_given(tmp_path):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(
+        "n=12\nm=10\nd=16\nk=2\nr=2\nn_instances=1\n"
+        "snr_grid=20\nsolvers=trick_omp\nseed=5\n"
+    )
+    for extra, seed in (([], 5), (["--seed", "7"], 7)):
+        out_dir = tmp_path / f"out{seed}"
+        rc = msc_main(["bench", "noise_sweep", "--config", str(cfg),
+                       "--out", str(out_dir)] + extra)
+        assert rc == 0
+        meta = (out_dir / "run_meta.txt").read_text().splitlines()
+        assert f"seed={seed}" in meta
+
+
 def test_dlra_run_matrix_model(msc_files):
     paths, tmp = msc_files
     rc = dlra_main([

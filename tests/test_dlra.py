@@ -181,15 +181,13 @@ class TestAoDlra:
 class TestTunedSolve:
     def test_pre_debias_sparsity_lands_in_window(self):
         from mscdlra.dlra import _tuned_fista
-        from mscdlra.linalg import MixingOperator, spectral_norm_sq, support_from_values
+        from mscdlra.linalg import _Problem, spectral_norm_sq, support_from_values
         from mscdlra.solvers import StoppingRule
 
         Y, D, X, B = make_dmf_instance(n=15, m=14, d=24, r=3, k=3, seed=70)
-        op = MixingOperator(B)
-        U = D.matrix.T @ D.matrix
         k, tau = 3, 4
         X_raw, alpha, warned = _tuned_fista(
-            Y, D.matrix, U, spectral_norm_sq(D.matrix), op,
+            _Problem(Y, D, B), spectral_norm_sq(D.matrix),
             np.full(3, 1e-2), k, tau, np.zeros((24, 3)), StoppingRule(),
             False, TunerConfig(alpha0=1e-2, tau=tau),
         )

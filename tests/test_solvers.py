@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mscdlra import solvers
 from mscdlra.linalg import (
-    SparseCodes,
+    MixingOperator,
     fixed_support_ls,
     normalize_columns,
     residual_cost,
@@ -304,9 +304,9 @@ class TestHomp:
 
     def test_explicit_start_does_not_consult_projected_greedy(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("trick_omp called for an explicit start")
+            raise AssertionError("trick_omp codes built for an explicit start")
 
-        monkeypatch.setattr("mscdlra.solvers.trick_omp", refuse)
+        monkeypatch.setattr("mscdlra.solvers._trick_omp_codes", refuse)
         inst = gen_msc_instance(
             n=20, m=18, d=30, k=3, r=4, snr_db=60.0, cond_b=200.0, seed=5100,
         )
@@ -581,36 +581,88 @@ def test_fixed_support_arguments_validated(solve):
         solve(Y, D, B, S, ridge=-1e-3)
 
 
+def boundary_instance():
+    return gen_msc_instance(
+        n=12, m=10, d=18, k=2, r=3, snr_db=20.0, cond_b=10.0, seed=13
+    )
+
+
+SOLVERS_WITH_START = {
+    "iht": lambda Y, D, B, X0: iht(Y, D, B, 2, X0=X0),
+    "homp": lambda Y, D, B, X0: homp(Y, D, B, 2, X0=X0),
+    "block_fista": lambda Y, D, B, X0: block_fista(Y, D, B, 0.1, 2, X0=X0),
+    "mixed_fista": lambda Y, D, B, X0: mixed_fista(Y, D, B, 0.1, 2, X0=X0),
+}
+
+PUBLIC_CALLS = {
+    "trick_omp": lambda Y, D, B, S: trick_omp(Y, D, B, 2),
+    "iht": lambda Y, D, B, S: iht(Y, D, B, 2),
+    "homp": lambda Y, D, B, S: homp(Y, D, B, 2),
+    "block_fista": lambda Y, D, B, S: block_fista(Y, D, B, 0.1, 2),
+    "mixed_fista": lambda Y, D, B, S: mixed_fista(Y, D, B, 0.1, 2),
+    "fixed_support_ls": fixed_support_ls,
+    "fixed_support_nnls": fixed_support_nnls,
+    "debias": lambda Y, D, B, S: debias(Y, D, B, S, 2),
+    "lambda_max_block": lambda Y, D, B, S: lambda_max_block(Y, D, B),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_CALLS)
+@pytest.mark.parametrize("cut, shape", [
+    (np.s_[:-1], (11, 10)),
+    (np.s_[:, :-1], (12, 9)),
+], ids=["row", "column"])
+def test_data_shape_mismatch_names_y(name, cut, shape):
+    inst = boundary_instance()
+    Y = inst["Y"][cut]
+    with pytest.raises(
+        ValueError, match=rf"^Y has shape \({shape[0]}, {shape[1]}\), expected \(12, 10\)"
+    ):
+        PUBLIC_CALLS[name](Y, inst["D"], inst["B"], inst["X"].support)
+
+
+@pytest.mark.parametrize("name", SOLVERS_WITH_START)
+def test_start_of_wrong_shape_names_x0(name):
+    inst = boundary_instance()
+    with pytest.raises(ValueError, match=r"^X0 has shape \(18, 2\), expected \(18, 3\)"):
+        SOLVERS_WITH_START[name](inst["Y"], inst["D"], inst["B"], np.zeros((18, 2)))
+
+
+@pytest.mark.parametrize("name", SOLVERS_WITH_START)
+def test_non_finite_start_names_x0(name):
+    inst = boundary_instance()
+    X0 = np.full((18, 3), np.nan)
+    with pytest.raises(ValueError, match="^X0 contains non-finite entries"):
+        SOLVERS_WITH_START[name](inst["Y"], inst["D"], inst["B"], X0)
+
+
+def test_homp_zero_start_builds_no_dense_residual(monkeypatch):
+    """The greedy offer of ``homp`` is scored in the Gram domain: neither
+    the dense residual nor the mixing matrix is formed."""
+    calls = []
+
+    def record(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(solvers, "residual_cost", record("residual_cost", residual_cost))
+    monkeypatch.setattr(
+        MixingOperator, "materialize", record("materialize", MixingOperator.materialize)
+    )
+    inst = gen_msc_instance(
+        n=20, m=18, d=30, k=3, r=4, snr_db=60.0, cond_b=200.0, seed=5100,
+    )
+    rep = homp(inst["Y"], inst["D"], inst["B"], 3)
+    assert rep.iterations >= 1
+    assert calls == []
+
+
 def test_supports_have_at_most_k_entries_after_threshold():
     X = np.array([[0.5, 2.0], [3.0, 1e-16], [0.0, 1.0]])
     S = support_from_values(X)
     assert [len(s) for s in S] == [2, 2]
-
-
-def omp_first_column(Y, D, B):
-    x, support = omp(Y[:, 0], D, 3)
-    return SparseCodes(x[:, None], [support])
-
-
-@pytest.mark.parametrize("solve", [
-    omp_first_column,
-    lambda Y, D, B: trick_omp(Y, D, B, 3).codes,
-    lambda Y, D, B: homp(Y, D, B, 3).codes,
-], ids=["omp", "trick_omp", "homp"])
-@pytest.mark.parametrize("seed", range(3))
-def test_gram_free_branch_matches_precomputed(monkeypatch, solve, seed):
-    """Above ``_PRECOMPUTE_LIMIT`` the greedy kernel takes its Gram blocks
-    from products with the dictionary instead of the precomputed Gram."""
-    inst = gen_msc_instance(
-        n=14, m=12, d=24, k=3, r=3, snr_db=30.0, cond_b=10.0, seed=6000 + seed
-    )
-    args = inst["Y"], inst["D"], inst["B"]
-    ref = solve(*args)
-    monkeypatch.setattr(solvers, "_PRECOMPUTE_LIMIT", 0)
-    got = solve(*args)
-    for a, b in zip(got.support, ref.support):
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_allclose(got.values, ref.values, rtol=1e-10, atol=0)
 
 
 @st.composite
