@@ -24,6 +24,7 @@ from .linalg import (
     SparseCodes,
     _kr_product,
     _Problem,
+    _residual_cost,
     as_matrix,
     dict_matrix,
     spectral_norm_sq,
@@ -126,7 +127,9 @@ class TunerConfig:
 
 @dataclass
 class DlraReport:
-    """Best stored iterate of a run and its history."""
+    """Best stored iterate of a run and its history; ``inner_iterations``
+    and ``tuner_rounds`` (one inner solve each) total those of
+    :func:`ao_dlra` over all modes, and stay 0 for :func:`ipalm`."""
 
     best_codes: dict
     best_factors: dict
@@ -135,6 +138,8 @@ class DlraReport:
     alpha_trace: list
     iterations: int
     notes: list = field(default_factory=list)
+    inner_iterations: int = 0
+    tuner_rounds: int = 0
 
 
 def random_init(data, model, seed):
@@ -172,27 +177,29 @@ def _projected_gradient_factor(Ymat, A, F0, inner_iters=50, ridge=_INNER_RIDGE):
 
 def _tuned_fista(P, sigma_d_sq, alpha, k, tau, X_warm, stop, nonneg, tuner):
     """Inner convex solve on the problem ``P`` re-run until each column
-    lands in [k, k + tau].
+    lands in [k, k + tau]. Each round starts from the previous round's
+    iterate and its product ``U @ X @ G``.
 
-    Returns the raw (pre-debias) iterate, the adapted ratios and whether
-    the round cap was hit.
+    Returns the raw (pre-debias) iterate, the adapted ratios, whether
+    the round cap was hit, and the inner iterations and rounds taken.
     """
     lam_max = np.abs(P.M).max(axis=0)
     eta = _stepsize(P.D, P.op, sigma_d_sq)
     X = np.array(X_warm, dtype=float)
+    H = None
     alpha = np.array(alpha, dtype=float)
 
-    rounds = 0
+    iterations = rounds = 0
     while True:
         prox, penalty = _l1_prox_penalty(eta, alpha * lam_max, nonneg)
         objective = _penalized_objective(P, penalty)
-        X, _, _, _ = _fista_core(P, prox, objective, X, eta, stop)
-        nnz = np.count_nonzero(np.abs(X) > SUPPORT_TOL, axis=0)
-        if np.all((k <= nnz) & (nnz <= k + tau)):
-            return X, alpha, False
+        X, H, _, its, _ = _fista_core(P, prox, objective, X, eta, stop, H)
+        iterations += its
         rounds += 1
-        if rounds > tuner.max_tuner_rounds:
-            return X, alpha, True
+        nnz = np.count_nonzero(np.abs(X) > SUPPORT_TOL, axis=0)
+        in_window = np.all((k <= nnz) & (nnz <= k + tau))
+        if in_window or rounds > tuner.max_tuner_rounds:
+            return X, alpha, not in_window, iterations, rounds
         low = nnz <= k
         high = ~low & (nnz >= k + tau)
         alpha[low] /= tuner.decrease_factor
@@ -201,12 +208,15 @@ def _tuned_fista(P, sigma_d_sq, alpha, k, tau, X_warm, stop, nonneg, tuner):
 
 class _ModeCoder:
     """State and coding step of one dictionary-constrained mode of
-    :func:`ao_dlra`: its raw iterate, ratios and debiased codes."""
+    :func:`ao_dlra`: its atom Gram, raw iterate, ratios, debiased codes
+    and inner-solve counts."""
 
     def __init__(self, mode, X_init, alpha0, r):
         self.mode = mode
         self.D = mode.dictionary.matrix
+        self.U = self.D.T @ self.D
         self.sigma_d_sq = spectral_norm_sq(self.D)
+        self.inner_iterations = self.tuner_rounds = 0
         self.X_raw = np.array(X_init, dtype=float)
         self.codes = SparseCodes.from_values(self.X_raw)
         self.alpha = _alpha_vector(alpha0, r)
@@ -216,11 +226,13 @@ class _ModeCoder:
         top-``k`` truncation when the tuner hit its round cap) and refit
         the codes there. Returns whether the cap was hit."""
         k, nonneg = self.mode.k, self.mode.nonneg
-        P = _Problem(Ymat, self.D, op)
-        self.X_raw, self.alpha, capped = _tuned_fista(
+        P = _Problem(Ymat, self.D, op, self.U)
+        self.X_raw, self.alpha, capped, iterations, rounds = _tuned_fista(
             P, self.sigma_d_sq, self.alpha, k, tuner.tau, self.X_raw, stop, nonneg,
             tuner,
         )
+        self.inner_iterations += iterations
+        self.tuner_rounds += rounds
         X = self.X_raw
         S = _truncate_support(X, k) if capped else support_from_values(X)
         self.codes = _debias(P, S, k, nonneg, _INNER_RIDGE)
@@ -235,15 +247,6 @@ def _fit_data(data, model, init):
         return as_matrix(data), None, None, B, None
     T = as_tensor3(data)
     return unfold1(T), unfold2(T), unfold3(T), B, np.array(init["C"], dtype=float)
-
-
-def _model_cost(data, model, X_codes, B, C=None):
-    A = model.mode0.dictionary.matrix @ X_codes.values
-    if not model.is_tensor:
-        R = data - A @ B.T
-        return float(np.einsum("ij,ij->", R, R))
-    R = data - np.einsum("il,jl,kl->ijk", A, B, C)
-    return float(np.einsum("ijk,ijk->", R, R))
 
 
 class _BestIterate:
@@ -261,7 +264,7 @@ class _BestIterate:
         if C is not None:
             self.factors["C"] = C.copy()
 
-    def report(self, cost_trace, alpha_trace, iterations, notes):
+    def report(self, cost_trace, alpha_trace, iterations, notes, **counts):
         return DlraReport(
             best_codes=self.codes,
             best_factors=self.factors,
@@ -270,6 +273,7 @@ class _BestIterate:
             alpha_trace=alpha_trace,
             iterations=iterations,
             notes=notes,
+            **counts,
         )
 
 
@@ -342,17 +346,22 @@ def ao_dlra(data, model, tuner=None, l_max=100, init=None, seed=0, stop=None):
             B = coders[1].D @ coders[1].codes.values
 
         # constrained mode 0
-        if coders[0].update(Ymat, MixingOperator(B, C), stop, tuner):
+        op0 = MixingOperator(B, C)
+        if coders[0].update(Ymat, op0, stop, tuner):
             notes.append(f"iteration {l}: tuner hit the round cap")
 
-        cost = _model_cost(data, model, coders[0].codes, B, C)
+        cost = _residual_cost(Ymat, coders[0].D, coders[0].codes.values, op0)
         cost_trace.append(cost)
         alpha_trace.append(coders[0].alpha.copy())
         best.offer(cost, {i: coder.codes for i, coder in enumerate(coders)}, B, C)
 
     if notes:
         warnings.warn(notes[-1], RuntimeWarning)
-    return best.report(cost_trace, alpha_trace, l_max, notes)
+    return best.report(
+        cost_trace, alpha_trace, l_max, notes,
+        inner_iterations=sum(coder.inner_iterations for coder in coders),
+        tuner_rounds=sum(coder.tuner_rounds for coder in coders),
+    )
 
 
 def _sparse_project(V, k, nonneg):
@@ -413,7 +422,8 @@ def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
         return _gradient_factor_step(F, gram, mtt, mu, model.nonneg)
 
     best = _BestIterate()
-    cost_trace = [_model_cost(data, model, SparseCodes.from_values(X), B, C)]
+    op0 = MixingOperator(B, C)
+    cost_trace = [_residual_cost(Ymat, Dm, SparseCodes.from_values(X).values, op0)]
     for l in range(1, l_max + 1):
         A = Dm @ X
         beta = (l - 1.0) / (l + 2.0)
@@ -444,7 +454,7 @@ def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
         codes = {0: SparseCodes.from_values(X)}
         if model.mode1 is not None:
             codes[1] = SparseCodes.from_values(X1)
-        cost_trace.append(_model_cost(data, model, codes[0], B, C))
+        cost_trace.append(_residual_cost(Ymat, Dm, codes[0].values, op0))
         best.offer(cost_trace[-1], codes, B, C)
         if stop.done(cost_trace[-2], cost_trace[-1]):
             break

@@ -270,12 +270,13 @@ class _Problem:
     """One validated problem ``min ||Y - D X B^T||_F^2``, built once per
     public call, with the pieces every solver works from: ``D``, ``op``,
     ``Y``, ``d``, ``r``, the d x d atom Gram ``U = D^T D`` (8 d^2 bytes),
-    ``G = B^T B``, ``N = Y B``, ``M = D^T N`` and ``normY_sq``."""
+    ``G = B^T B``, ``N = Y B``, ``M = D^T N`` and ``normY_sq``. A caller
+    that codes against one dictionary many times passes its ``U``."""
 
-    def __init__(self, Y, D, B):
+    def __init__(self, Y, D, B, U=None):
         self.Y, self.D, self.op = _coerce_data(Y, D, B)
         self.d, self.r = self.D.shape[1], self.op.n_cols
-        self.U = self.D.T @ self.D
+        self.U = self.D.T @ self.D if U is None else U
         self.G = self.op.gram()
         self.N = self.op.data_product(self.Y)
         self.M = self.D.T @ self.N
@@ -390,6 +391,11 @@ def residual_cost(Y, D, X, B):
         raise ValueError(
             f"codes have shape {Xm.shape}, expected {(Dm.shape[1], op.n_cols)}"
         )
+    return _residual_cost(Ym, Dm, Xm, op)
+
+
+def _residual_cost(Ym, Dm, Xm, op):
+    """:func:`residual_cost` of arrays and an operator already validated."""
     A = Dm @ Xm
     if op.kind == "dense" or op.n_rows <= _MATERIALIZE_LIMIT:
         R = Ym - A @ op.materialize().T

@@ -402,11 +402,13 @@ def lambda_max_mixed(Y, D, B):
 
 def _gram_cost(P):
     """``||Y - D X B^T||_F^2`` as ``||Y||^2 - 2<X, M> + <U X G, X>``, clamped
-    at 0, from the Gram pieces of the problem ``P``."""
+    at 0, from the Gram pieces of the problem ``P``. The returned
+    ``cost(X, H=None)`` uses ``H`` as the product ``U @ X @ G`` when
+    given, and forms it otherwise."""
     normY_sq, U, G, M = P.normY_sq, P.U, P.G, P.M
 
-    def cost(X):
-        fit = np.einsum("ij,ij->", U @ X @ G, X)
+    def cost(X, H=None):
+        fit = np.einsum("ij,ij->", U @ X @ G if H is None else H, X)
         cross = np.einsum("ij,ij->", X, M)
         return max(normY_sq - 2.0 * cross + fit, 0.0)
 
@@ -414,40 +416,47 @@ def _gram_cost(P):
 
 
 def _penalized_objective(P, penalty):
-    """``0.5 ||Y - D X B^T||_F^2 + penalty(X)``, evaluated in the Gram domain."""
+    """``0.5 ||Y - D X B^T||_F^2 + penalty(X)``, evaluated in the Gram domain;
+    takes ``H = U @ X @ G`` like :func:`_gram_cost`."""
     cost = _gram_cost(P)
-    return lambda X: 0.5 * cost(X) + penalty(X)
+    return lambda X, H=None: 0.5 * cost(X, H) + penalty(X)
 
 
-def _fista_core(P, prox, objective, X0, eta, stop):
+def _fista_core(P, prox, objective, X0, eta, stop, H0=None):
     """Inertial proximal gradient iterations shared by the iterative solvers.
 
     The gradient comes from the Gram pieces of the problem ``P``;
     ``prox`` maps a gradient-step point to the next iterate and
-    ``objective`` scores an iterate for the trace and the stopping rule.
-    Returns the final iterate, the objective trace, the iteration count
-    and the termination reason.
+    ``objective(X, H)`` scores an iterate for the trace and the stopping
+    rule. One product ``H = U @ X @ G`` per iterate serves both: the
+    objective reads it, and by linearity the product at the extrapolated
+    point ``Z = X_new + c (X_new - X)`` is ``H_new + c (H_new - H)``.
+    ``H0`` is the product of ``X0`` (formed here when ``None``). Returns
+    the final iterate and its product, the objective trace, the
+    iteration count and the termination reason.
     """
     U, G, M = P.U, P.G, P.M
-    X = X0.copy()
-    Z = X0.copy()
+    X = Z = X0.copy()
+    H = HZ = U @ X @ G if H0 is None else H0
     beta = 1.0
-    trace = [objective(X)]
+    trace = [objective(X, H)]
     iterations = 0
     termination = "max_iter"
     for _ in range(stop.max_iter):
-        V = Z - eta * (U @ Z @ G - M)
-        X_new = prox(V)
+        X_new = prox(Z - eta * (HZ - M))
+        H_new = U @ X_new @ G
         beta_old = beta
         beta = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * beta**2))
-        Z = X_new + ((beta_old - 1.0) / beta) * (X_new - X)
-        X = X_new
+        c = (beta_old - 1.0) / beta
+        Z = X_new + c * (X_new - X)
+        HZ = H_new + c * (H_new - H)
+        X, H = X_new, H_new
         iterations += 1
-        trace.append(objective(X))
+        trace.append(objective(X, H))
         if stop.done(trace[-2], trace[-1]):
             termination = "tolerance"
             break
-    return X, trace, iterations, termination
+    return X, H, trace, iterations, termination
 
 
 def _truncate_support(X, k):
@@ -538,7 +547,7 @@ def _proximal_solve(Y, D, B, k, X0, stop, ridge, nonneg, prox_objective):
     _check_sparsity(k, P.d)
     eta = _stepsize(P.D, P.op)
     prox, objective = prox_objective(P, eta)
-    X, trace, iterations, termination = _fista_core(
+    X, _, trace, iterations, termination = _fista_core(
         P, prox, objective, P.start(X0), eta, stop
     )
     codes = _debias(P, _truncate_support(X, k), k, nonneg, ridge)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mscdlra import dlra
 from mscdlra.dlra import (
     DlraModel,
     ModeDictionary,
@@ -186,7 +187,7 @@ class TestTunedSolve:
 
         Y, D, X, B = make_dmf_instance(n=15, m=14, d=24, r=3, k=3, seed=70)
         k, tau = 3, 4
-        X_raw, alpha, warned = _tuned_fista(
+        X_raw, alpha, warned, _, _ = _tuned_fista(
             _Problem(Y, D, B), spectral_norm_sq(D.matrix),
             np.full(3, 1e-2), k, tau, np.zeros((24, 3)), StoppingRule(),
             False, TunerConfig(alpha0=1e-2, tau=tau),
@@ -211,6 +212,89 @@ class TestNonnegCpd:
         assert np.all(rep.best_codes[0].values >= 0)
         assert np.all(rep.best_factors["B"] >= 0)
         assert np.all(rep.best_factors["C"] >= 0)
+
+
+def two_mode_nndcpd(seed):
+    """A noisy nonnegative tensor with both leading modes coded in
+    nonnegative dictionaries, and its model."""
+    rng = np.random.default_rng(seed)
+    n, m1, m2, r = 14, 10, 4, 2
+    D1 = normalize_columns(np.abs(rng.standard_normal((n, 18))))[0]
+    D2 = normalize_columns(np.abs(rng.standard_normal((m1, 12))))[0]
+    A = D1.matrix @ gen_codes(18, r, 2, seed + 1, nonneg=True).values
+    B = D2.matrix @ gen_codes(12, r, 2, seed + 2, nonneg=True).values
+    T = np.einsum("il,jl,kl->ijk", A, B, rng.uniform(size=(m2, r)))
+    T += 0.05 * rng.standard_normal(T.shape)
+    model = DlraModel(
+        "nonneg_cpd", r, ModeDictionary(D1, 2, nonneg=True),
+        ModeDictionary(D2, 2, nonneg=True),
+    )
+    return T, model
+
+
+def fit_two_mode(T, model, seed):
+    return ao_dlra(T, model, TunerConfig(alpha0=1e-3, tau=3), l_max=6, seed=seed)
+
+
+def assert_same_fit(a, b):
+    assert a.cost_trace == b.cost_trace and a.best_cost == b.best_cost
+    assert a.best_codes.keys() == b.best_codes.keys()
+    for i in a.best_codes:
+        assert np.array_equal(a.best_codes[i].values, b.best_codes[i].values)
+    assert a.best_factors.keys() == b.best_factors.keys()
+    for key in a.best_factors:
+        assert np.array_equal(a.best_factors[key], b.best_factors[key])
+    assert np.array_equal(a.alpha_trace, b.alpha_trace)
+    assert (a.inner_iterations, a.tuner_rounds) == (b.inner_iterations, b.tuner_rounds)
+
+
+@pytest.mark.filterwarnings("ignore:.*tuner hit the round cap:RuntimeWarning")
+class TestInnerSolves:
+    def test_counts_total_the_inner_fista_runs(self, monkeypatch):
+        T, model = two_mode_nndcpd(80)
+        runs = []
+        core = dlra._fista_core
+
+        def counted(*args):
+            out = core(*args)
+            runs.append(out[3])
+            return out
+
+        monkeypatch.setattr(dlra, "_fista_core", counted)
+        rep = fit_two_mode(T, model, 80)
+        # at least one round per mode and outer iteration
+        assert rep.tuner_rounds == len(runs) >= 2 * 6
+        assert rep.inner_iterations == sum(runs) > 0
+        monkeypatch.undo()
+        rep = ipalm(T, model, l_max=3, seed=80)
+        assert (rep.inner_iterations, rep.tuner_rounds) == (0, 0)
+
+    @pytest.mark.parametrize("fresh", ["atom_gram", "round_product"])
+    def test_reused_products_are_bit_identical(self, monkeypatch, fresh):
+        """The coder's atom Gram, formed once per fit, and each tuner
+        round's product ``U @ X @ G``, carried from the round before, give
+        the same fit as forming them at every use."""
+        T, model = two_mode_nndcpd(81)
+        reused = fit_two_mode(T, model, 81)
+        handed = []
+        if fresh == "atom_gram":
+            problem = dlra._Problem
+
+            def fresh_problem(Y, D, B, U=None):
+                handed.append(U is not None)
+                return problem(Y, D, B)
+
+            monkeypatch.setattr(dlra, "_Problem", fresh_problem)
+        else:
+            core = dlra._fista_core
+
+            def fresh_core(P, prox, objective, X0, eta, stop, H0=None):
+                handed.append(H0 is not None)
+                return core(P, prox, objective, X0, eta, stop)
+
+            monkeypatch.setattr(dlra, "_fista_core", fresh_core)
+        assert_same_fit(reused, fit_two_mode(T, model, 81))
+        assert any(handed)
 
 
 class TestIpalm:
