@@ -34,6 +34,7 @@ from .prox import hard_threshold_columns
 from .solvers import (
     StoppingRule,
     _alpha_vector,
+    _check_sparsity,
     _debias,
     _fista_core,
     _l1_prox_penalty,
@@ -56,6 +57,7 @@ from .tensor import (
 
 _KINDS = ("matrix_factorization", "nonneg_matrix_factorization", "cpd", "nonneg_cpd")
 _INNER_RIDGE = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,7 @@ class ModeDictionary:
     nonneg: bool = False
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("sparsity level k must be at least 1")
+        _check_sparsity(self.k, self.dictionary.shape[1])
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,7 @@ class _ModeCoder:
         top-``k`` truncation when the tuner hit its round cap) and refit
         the codes there. Returns whether the cap was hit."""
         k, nonneg = self.mode.k, self.mode.nonneg
-        P = _Problem(Ymat, self.D, op, self.U)
+        P = _Problem(Ymat, self.mode.dictionary, op, self.U)
         self.X_raw, self.alpha, capped, iterations, rounds = _tuned_fista(
             P, self.sigma_d_sq, self.alpha, k, tuner.tau, self.X_raw, stop, nonneg,
             tuner,
@@ -239,18 +240,49 @@ class _ModeCoder:
         return capped
 
 
+def _data_array(data, model):
+    """The data as a checked matrix or order-3 tensor whose constrained
+    modes have as many entries as their dictionaries have rows."""
+    Y = as_tensor3(data) if model.is_tensor else as_matrix(data, "data")
+    for i, mode in enumerate((model.mode0, model.mode1)):
+        if mode is not None and Y.shape[i] != mode.dictionary.shape[0]:
+            raise ValueError(
+                f"data has shape {Y.shape}, expected {mode.dictionary.shape[0]} "
+                f"entries in mode {i} (rows of the dictionary of shape "
+                f"{mode.dictionary.shape})"
+            )
+    return Y
+
+
 def _fit_data(data, model, init):
     """The mode-0 data matrix, the mode-1 and mode-2 unfoldings of a
-    tensor and the starting factors B and C (``None`` where absent)."""
-    B = np.array(init["B"], dtype=float)
+    tensor (``None`` for a matrix) and checked copies of the starting
+    factors in ``init``: "X" (d, r), "B" (m, r), and "C" (m2, r) and
+    "X1" (d1, r) where the model has them (``None`` where it does not)."""
+    Y = _data_array(data, model)
+    r = model.rank
+    shapes = {"X": (model.mode0.dictionary.n_atoms, r), "B": (Y.shape[1], r)}
+    if model.is_tensor:
+        shapes["C"] = (Y.shape[2], r)
+    if model.mode1 is not None:
+        shapes["X1"] = (model.mode1.dictionary.n_atoms, r)
+    start = dict.fromkeys(("C", "X1"))
+    for key, shape in shapes.items():
+        if key not in init:
+            raise ValueError(f"init has no {key!r}; this model needs {list(shapes)}")
+        F = np.array(init[key], dtype=float)
+        if F.shape != shape:
+            raise ValueError(f"init[{key!r}] has shape {F.shape}, expected {shape}")
+        start[key] = as_matrix(F, f"init[{key!r}]")
     if not model.is_tensor:
-        return as_matrix(data), None, None, B, None
-    T = as_tensor3(data)
-    return unfold1(T), unfold2(T), unfold3(T), B, np.array(init["C"], dtype=float)
+        return Y, None, None, start
+    return unfold1(Y), unfold2(Y), unfold3(Y), start
 
 
 class _BestIterate:
-    """Lowest-cost iterate of a fit, replaced only on a strictly lower cost."""
+    """Lowest-cost iterate of a fit, replaced only on a strictly lower
+    cost. Codes are offered as value arrays; their supports are listed
+    once, for the reported iterate."""
 
     def __init__(self):
         self.cost = None
@@ -266,7 +298,7 @@ class _BestIterate:
 
     def report(self, cost_trace, alpha_trace, iterations, notes, **counts):
         return DlraReport(
-            best_codes=self.codes,
+            best_codes={i: SparseCodes.from_values(X) for i, X in self.codes.items()},
             best_factors=self.factors,
             best_cost=self.cost,
             cost_trace=cost_trace,
@@ -314,10 +346,11 @@ def ao_dlra(data, model, tuner=None, l_max=100, init=None, seed=0, stop=None):
     tuner = tuner or TunerConfig()
     stop = stop or StoppingRule()
     init = init or random_init(data, model, seed)
-    Ymat, Y2, Y3, B, C = _fit_data(data, model, init)
-    coders = [_ModeCoder(model.mode0, init["X"], tuner.alpha0, model.rank)]
+    Ymat, Y2, Y3, start = _fit_data(data, model, init)
+    B, C = start["B"], start["C"]
+    coders = [_ModeCoder(model.mode0, start["X"], tuner.alpha0, model.rank)]
     if model.mode1 is not None:
-        coders.append(_ModeCoder(model.mode1, init["X1"], tuner.alpha0, model.rank))
+        coders.append(_ModeCoder(model.mode1, start["X1"], tuner.alpha0, model.rank))
         B = coders[1].D @ coders[1].codes.values
 
     def update_factor(F, gram, mtt):
@@ -353,7 +386,7 @@ def ao_dlra(data, model, tuner=None, l_max=100, init=None, seed=0, stop=None):
         cost = _residual_cost(Ymat, coders[0].D, coders[0].codes.values, op0)
         cost_trace.append(cost)
         alpha_trace.append(coders[0].alpha.copy())
-        best.offer(cost, {i: coder.codes for i, coder in enumerate(coders)}, B, C)
+        best.offer(cost, {i: c.codes.values for i, c in enumerate(coders)}, B, C)
 
     if notes:
         warnings.warn(notes[-1], RuntimeWarning)
@@ -368,10 +401,16 @@ def _sparse_project(V, k, nonneg):
     return hard_threshold_columns(np.maximum(V, 0.0) if nonneg else V, k)
 
 
+def _masked(X):
+    """``X`` with the entries of magnitude at most ``SUPPORT_TOL`` zeroed,
+    as in :meth:`SparseCodes.from_values`."""
+    return np.where(np.abs(X) > SUPPORT_TOL, X, 0.0)
+
+
 def _gradient_factor_step(F, gram, mtt, mu, nonneg):
     """Projected gradient step on F in ``||Y - F K^T||`` with the
     Frobenius-norm stepsize ``mu / ||K^T K||``."""
-    eta = mu / max(np.linalg.norm(gram), np.finfo(float).tiny)
+    eta = mu / max(np.linalg.norm(gram), _TINY)
     F = F - eta * (F @ gram - mtt)
     return np.maximum(F, 0.0) if nonneg else F
 
@@ -379,7 +418,7 @@ def _gradient_factor_step(F, gram, mtt, mu, nonneg):
 def _inertial_code_step(X, Z, mode, U, eps_d, G, M, mu, beta):
     """Inertial hard-thresholding step on the codes of one constrained
     mode; returns the new iterate and its extrapolation."""
-    eta = mu / max(eps_d * np.linalg.norm(G), np.finfo(float).tiny)
+    eta = mu / max(eps_d * np.linalg.norm(G), _TINY)
     X_new = _sparse_project(Z - eta * (U @ Z @ G - M), mode.k, mode.nonneg)
     return X_new, X_new + beta * (X_new - X)
 
@@ -393,6 +432,12 @@ def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
     stepsizes scaled by the safeguard ``mu <= 1``. Iterates stay
     feasible throughout. Stops at ``l_max`` or when the relative cost
     change falls to ``rel_tol`` (see :class:`StoppingRule`).
+
+    Each iteration forms the mixing operator's Gram matrix, whose
+    construction rejects a factor gone non-finite, but not its spectrum,
+    and scores the iterate with entries of magnitude at most
+    ``SUPPORT_TOL`` zeroed. Support lists are built once, for the best
+    iterate returned.
     """
     if mu > 1.0 or mu <= 0.0:
         raise ValueError("stepsize safeguard mu must lie in (0, 1]")
@@ -400,22 +445,23 @@ def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
         raise ValueError("l_max must be at least 1")
     stop = StoppingRule(rel_tol=rel_tol)
     init = init or random_init(data, model, seed)
-    Ymat, Y2, Y3, B, C = _fit_data(data, model, init)
+    Ymat, Y2, Y3, start = _fit_data(data, model, init)
+    B, C = start["B"], start["C"]
     if model.nonneg:
         B = np.maximum(B, 0.0)
         if C is not None:
             C = np.maximum(C, 0.0)
 
-    def start(mode, key):
+    def code_start(mode, key):
         """Dictionary, its Gram matrix and norm, and the projected start."""
         Dmat = mode.dictionary.matrix
         U = Dmat.T @ Dmat
-        X = _sparse_project(np.array(init[key], dtype=float), mode.k, mode.nonneg)
+        X = _sparse_project(start[key], mode.k, mode.nonneg)
         return Dmat, U, float(np.linalg.norm(U)), X, X.copy()
 
-    Dm, U0, eps_d0, X, Z = start(model.mode0, "X")
+    Dm, U0, eps_d0, X, Z = code_start(model.mode0, "X")
     if model.mode1 is not None:
-        D2, U1, eps_d1, X1, Z1 = start(model.mode1, "X1")
+        D2, U1, eps_d1, X1, Z1 = code_start(model.mode1, "X1")
         B = D2 @ X1
 
     def update_factor(F, gram, mtt):
@@ -423,7 +469,7 @@ def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
 
     best = _BestIterate()
     op0 = MixingOperator(B, C)
-    cost_trace = [_residual_cost(Ymat, Dm, SparseCodes.from_values(X).values, op0)]
+    cost_trace = [_residual_cost(Ymat, Dm, _masked(X), op0)]
     for l in range(1, l_max + 1):
         A = Dm @ X
         beta = (l - 1.0) / (l + 2.0)
@@ -446,15 +492,15 @@ def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
 
         # constrained mode 0
         op0 = MixingOperator(B, C)
-        M0 = Dm.T @ op0.data_product(Ymat)
+        M0 = Dm.T @ op0._data_product(Ymat)
         X, Z = _inertial_code_step(
             X, Z, model.mode0, U0, eps_d0, op0.gram(), M0, mu, beta
         )
 
-        codes = {0: SparseCodes.from_values(X)}
+        codes = {0: _masked(X)}
         if model.mode1 is not None:
-            codes[1] = SparseCodes.from_values(X1)
-        cost_trace.append(_residual_cost(Ymat, Dm, codes[0].values, op0))
+            codes[1] = _masked(X1)
+        cost_trace.append(_residual_cost(Ymat, Dm, codes[0], op0))
         best.offer(cost_trace[-1], codes, B, C)
         if stop.done(cost_trace[-2], cost_trace[-1]):
             break
@@ -489,13 +535,11 @@ def init_by_lra(data, model, seed=0, lra_iters=100):
     OMP to produce columnwise k-sparse starting codes.
     """
     r = model.rank
+    Y = _data_array(data, model)
     if model.is_tensor:
-        factors, _ = cpd_als(
-            as_tensor3(data), r, iters=lra_iters, nonneg=model.nonneg, seed=seed
-        )
+        factors, _ = cpd_als(Y, r, iters=lra_iters, nonneg=model.nonneg, seed=seed)
         A0, B0, C0 = factors.A, factors.B, factors.C
     else:
-        Y = as_matrix(data)
         if model.nonneg:
             A0, B0 = _nmf_hals(Y, r, iters=lra_iters, seed=seed)
         elif r > min(Y.shape):

@@ -16,6 +16,7 @@ All objects are treated as immutable after construction and every function
 here is deterministic and reentrant.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +143,10 @@ class MixingOperator:
     Either a dense matrix ``B`` (m x r) or the Khatri-Rao product of two
     matrices ``B`` (m1 x r) and ``C`` (m2 x r), in which case the
     effective matrix has shape (m1*m2, r) and is only materialized when
-    small.
+    small. Construction checks the factors and forms the r x r Gram
+    matrix; its eigenvalues, behind :meth:`spectral_norm_sq`,
+    ``min_singular_value`` and ``rank_deficient``, are computed on the
+    first read of any of them and kept.
     """
 
     def __init__(self, B, C=None):
@@ -159,11 +163,20 @@ class MixingOperator:
             self._gram = (self.B.T @ self.B) * (self.C.T @ self.C)
             self.n_rows = self.B.shape[0] * self.C.shape[0]
         self.n_cols = self.B.shape[1]
+
+    @functools.cached_property
+    def _extreme_eigenvalues(self):
         evals = np.linalg.eigvalsh(self._gram)
-        self._sigma_max_sq = float(evals[-1])
-        self.min_singular_value = float(np.sqrt(max(evals[0], 0.0)))
-        # full column rank is assumed by most solvers; flag when violated
-        self.rank_deficient = self.min_singular_value <= 1e-12
+        return float(evals[0]), float(evals[-1])
+
+    @property
+    def min_singular_value(self):
+        return float(np.sqrt(max(self._extreme_eigenvalues[0], 0.0)))
+
+    @property
+    def rank_deficient(self):
+        """Full column rank is assumed by most solvers; flag when violated."""
+        return self.min_singular_value <= 1e-12
 
     @property
     def shape(self):
@@ -187,23 +200,30 @@ class MixingOperator:
         """Compute ``Y @ B_eff`` without materializing a large product.
 
         ``Y`` must have ``n_rows`` columns; for the Khatri-Rao kind this
-        is the mode-0 unfolding of the data tensor.
+        is the mode-0 unfolding of the data tensor. Each call checks ``Y``
+        for shape and finiteness; :meth:`_data_product` is the same product
+        on an array already checked.
         """
         Ym = as_matrix(Y, "Y")
         if Ym.shape[1] != self.n_rows:
             raise ValueError(
                 f"data has {Ym.shape[1]} columns, operator has {self.n_rows} rows"
             )
+        return self._data_product(Ym)
+
+    def _data_product(self, Ym):
+        """:meth:`data_product` of a finite (n, ``n_rows``) array."""
         if self.kind == "dense":
             return Ym @ self.B
         return _kr_product(Ym, self.B, self.C)
 
     def spectral_norm_sq(self):
         """Largest squared singular value of the effective matrix: the top
-        eigenvalue of its Gram matrix, computed once at construction."""
-        if self._sigma_max_sq <= 0.0:
+        eigenvalue of its Gram matrix, computed on first use."""
+        sigma_max_sq = self._extreme_eigenvalues[1]
+        if sigma_max_sq <= 0.0:
             raise ValueError("spectral norm of the zero matrix is undefined here")
-        return self._sigma_max_sq
+        return sigma_max_sq
 
 
 def as_mixing(B):
@@ -278,7 +298,7 @@ class _Problem:
         self.d, self.r = self.D.shape[1], self.op.n_cols
         self.U = self.D.T @ self.D if U is None else U
         self.G = self.op.gram()
-        self.N = self.op.data_product(self.Y)
+        self.N = self.op._data_product(self.Y)
         self.M = self.D.T @ self.N
         self.normY_sq = float(np.einsum("ij,ij->", self.Y, self.Y))
 
@@ -400,7 +420,7 @@ def _residual_cost(Ym, Dm, Xm, op):
     if op.kind == "dense" or op.n_rows <= _MATERIALIZE_LIMIT:
         R = Ym - A @ op.materialize().T
         return float(np.einsum("ij,ij->", R, R))
-    cross = np.einsum("ij,ij->", A, op.data_product(Ym))
+    cross = np.einsum("ij,ij->", A, op._data_product(Ym))
     fit = np.einsum("ij,ij->", A.T @ A, op.gram())
     out = float(np.einsum("ij,ij->", Ym, Ym) - 2.0 * cross + fit)
     return max(out, 0.0)

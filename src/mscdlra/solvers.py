@@ -391,7 +391,7 @@ def lambda_max_block(Y, D, B):
     """Per-column regularization levels above which the columnwise l1
     relaxation returns exactly zero: ``||D^T Y B_i||_inf`` for each i."""
     Ym, Dm, op = _coerce_data(Y, D, B)
-    return np.abs(Dm.T @ op.data_product(Ym)).max(axis=0)
+    return np.abs(Dm.T @ op._data_product(Ym)).max(axis=0)
 
 
 def lambda_max_mixed(Y, D, B):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,12 @@ class TestModelValidation:
         D = gaussian_dictionary(4, 6, 0)
         with pytest.raises(ValueError):
             ModeDictionary(D, 0)
+
+    @pytest.mark.parametrize("k", [0, 7, 31])
+    def test_k_within_the_atoms(self, k):
+        D = gaussian_dictionary(4, 6, 0)
+        with pytest.raises(ValueError, match=re.escape(f"k={k} must lie in [1, 6]")):
+            ModeDictionary(D, k)
 
     def test_tuner_tau(self):
         with pytest.raises(ValueError):
@@ -328,6 +336,90 @@ class TestIpalm:
         model = DlraModel("matrix_factorization", 2, ModeDictionary(D, 2))
         with pytest.raises(ValueError):
             ipalm(Y, model, mu=1.5)
+
+
+def matrix_fit_case():
+    """Signed matrix model with n=10, m=15, d=14, r=3 and a matching init."""
+    Y, D, X, B = make_dmf_instance(n=10, m=15, d=14, r=3, k=2, seed=70)
+    model = DlraModel("matrix_factorization", 3, ModeDictionary(D, 2))
+    return Y, model, {"X": X.values.copy(), "B": B.copy()}
+
+
+def two_mode_fit_case():
+    """Two-mode CPD model with n=10, m1=8, m2=4, d=14, d1=9, r=2."""
+    T, D, X, B, C = make_dcpd_instance(n=10, m1=8, m2=4, d=14, r=2, k=2, seed=71)
+    model = DlraModel(
+        "cpd", 2, ModeDictionary(D, 2), ModeDictionary(gaussian_dictionary(8, 9, 72), 2)
+    )
+    return T, model, random_init(T, model, 3)
+
+
+FITS = {
+    "ao_dlra": lambda data, model, init: ao_dlra(data, model, l_max=2, init=init),
+    "ipalm": lambda data, model, init: ipalm(data, model, l_max=2, init=init),
+}
+INIT_KEYS = [(matrix_fit_case, key) for key in ("X", "B")] + [
+    (two_mode_fit_case, key) for key in ("X", "B", "C", "X1")
+]
+
+
+class TestFitBoundary:
+    """``ao_dlra``, ``ipalm`` and ``init_by_lra`` check the data and the
+    starting factors once, and name what is wrong."""
+
+    @pytest.mark.parametrize("fit", FITS)
+    @pytest.mark.parametrize("case, key", INIT_KEYS)
+    def test_missing_init_key(self, fit, case, key):
+        data, model, init = case()
+        del init[key]
+        with pytest.raises(ValueError, match=f"init has no '{key}'"):
+            FITS[fit](data, model, init)
+
+    @pytest.mark.parametrize("fit", FITS)
+    @pytest.mark.parametrize("case, key", INIT_KEYS)
+    def test_init_shape(self, fit, case, key):
+        data, model, init = case()
+        expected = init[key].shape
+        init[key] = init[key][:3]
+        message = f"init['{key}'] has shape {init[key].shape}, expected {expected}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FITS[fit](data, model, init)
+
+    @pytest.mark.parametrize("fit", FITS)
+    @pytest.mark.parametrize("case, key", INIT_KEYS)
+    def test_init_finite(self, fit, case, key):
+        data, model, init = case()
+        init[key][0, 0] = np.inf
+        message = f"init['{key}'] contains non-finite entries"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FITS[fit](data, model, init)
+
+    def test_short_b_rejected_where_the_first_update_overwrites_it(self):
+        Y, model, init = matrix_fit_case()
+        init["B"] = np.ones((5, 3))
+        with pytest.raises(ValueError, match=re.escape(
+                "init['B'] has shape (5, 3), expected (15, 3)")):
+            ao_dlra(Y, model, l_max=1, init=init)
+
+    @pytest.mark.parametrize("fit", ["ao_dlra", "ipalm", "init_by_lra"])
+    def test_data_rows_match_the_dictionary(self, fit):
+        Y, model, init = matrix_fit_case()
+        message = "data has shape (5, 15), expected 10 entries in mode 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            if fit == "init_by_lra":
+                init_by_lra(Y[:5], model)
+            else:
+                FITS[fit](Y[:5], model, init)
+
+    @pytest.mark.parametrize("fit", ["ao_dlra", "ipalm", "init_by_lra"])
+    def test_tensor_modes_match_their_dictionaries(self, fit):
+        T, model, init = two_mode_fit_case()
+        message = "data has shape (10, 7, 4), expected 8 entries in mode 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            if fit == "init_by_lra":
+                init_by_lra(T[:, :7], model)
+            else:
+                FITS[fit](T[:, :7], model, init)
 
 
 class TestInitByLra:

@@ -172,6 +172,60 @@ class TestMixingOperator:
         assert not MixingOperator(np.eye(3)).rank_deficient
 
 
+class TestLazySpectrum:
+    """``MixingOperator`` computes the Gram eigenvalues on first use."""
+
+    @staticmethod
+    def operator(m1, m2, r, kr, deficient, seed):
+        """A dense or Khatri-Rao operator; ``deficient`` zeroes the last
+        column of ``B``, so the effective matrix loses rank."""
+        rng = np.random.default_rng(seed)
+        B, C = rng.standard_normal((m1, r)), rng.standard_normal((m2, r))
+        if deficient:
+            B[:, -1] = 0.0
+        return MixingOperator(B, C if kr else None)
+
+    def test_construction_calls_no_eigvalsh(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(A):
+            calls.append(A.shape)
+            return eigvalsh(A)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        ops = [self.operator(5, 4, 3, kr, deficient, 1)
+               for kr in (False, True) for deficient in (False, True)]
+        assert calls == []
+        for op in ops:
+            op.spectral_norm_sq(), op.min_singular_value, op.rank_deficient
+            op.spectral_norm_sq(), op.min_singular_value, op.rank_deficient
+        assert calls == [(3, 3)] * len(ops)
+
+    @given(
+        st.integers(1, 6), st.integers(1, 6), st.integers(1, 4), st.booleans(),
+        st.booleans(), st.integers(0, 2), st.integers(0, 2**32 - 1),
+    )
+    def test_lazy_values_equal_eager(self, m1, m2, r, kr, deficient, first, seed):
+        deficient = deficient and r > 1  # r = 1 would leave the zero matrix
+        op = self.operator(m1, m2, r, kr, deficient, seed)
+        evals = np.linalg.eigvalsh(op.gram())
+        smin = float(np.sqrt(max(evals[0], 0.0)))
+        reads = [
+            lambda: op.spectral_norm_sq() == float(evals[-1]),
+            lambda: op.min_singular_value == smin,
+            lambda: op.rank_deficient == (smin <= 1e-12),
+        ]
+        # whichever value is read first computes the eigenvalues
+        assert reads[first]()
+        assert all(read() for read in reads)
+        assert op.rank_deficient or not deficient
+
+    def test_zero_operator_is_rank_deficient(self):
+        op = MixingOperator(np.zeros((4, 2)))
+        assert op.rank_deficient and op.min_singular_value == 0.0
+
+
 class TestFixedSupportLs:
     def test_orthonormal_full_support_is_projection(self):
         rng = np.random.default_rng(0)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mscdlra import linalg
 from mscdlra.linalg import khatri_rao
 from mscdlra.tensor import (
     CpdFactors,
@@ -83,6 +84,47 @@ class TestReconstructAndMttkrp:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mttkrp(np.ones((2, 3, 4)), np.ones((5, 2)), np.ones((4, 2)))
+
+
+shapes = st.integers(1, 7)
+ranks = st.integers(1, 4)
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestIdentitiesOverRandomShapes:
+    """The unfolding and Khatri-Rao identities of :class:`TestUnfold` and
+    :class:`TestReconstructAndMttkrp` at random shapes."""
+
+    @given(shapes, shapes, shapes, ranks, seeds)
+    def test_unfoldings_of_a_cpd_tensor(self, n, m1, m2, r, seed):
+        rng = np.random.default_rng(seed)
+        A, B, C = (rng.standard_normal((size, r)) for size in (n, m1, m2))
+        T = cpd_reconstruct(CpdFactors(A, B, C))
+        # each entry sums r triple products, each rounded once
+        atol = 1e-14 * r * np.abs(A).max() * np.abs(B).max() * np.abs(C).max()
+        for unfolded, F, G, H in ((unfold1(T), A, B, C), (unfold2(T), B, A, C),
+                                  (unfold3(T), C, A, B)):
+            np.testing.assert_allclose(unfolded, F @ khatri_rao(G, H).T, rtol=0, atol=atol)
+
+    @given(shapes, shapes, shapes, seeds)
+    def test_refold_inverts_unfold(self, n, m1, m2, seed):
+        T = np.random.default_rng(seed).standard_normal((n, m1, m2))
+        np.testing.assert_array_equal(refold1(unfold1(T), m1, m2), T)
+
+    @given(shapes, shapes, shapes, ranks, st.booleans(), seeds)
+    def test_mttkrp_equals_the_materialized_product(self, n, m1, m2, r, contract, seed):
+        rng = np.random.default_rng(seed)
+        T = rng.standard_normal((n, m1, m2))
+        B, C = rng.standard_normal((m1, r)), rng.standard_normal((m2, r))
+        limit = linalg._MATERIALIZE_LIMIT
+        linalg._MATERIALIZE_LIMIT = 0 if contract else limit
+        try:
+            got = mttkrp(T, B, C)
+        finally:
+            linalg._MATERIALIZE_LIMIT = limit
+        want = unfold1(T) @ khatri_rao(B, C)
+        atol = 1e-14 * m1 * m2 * np.abs(T).max() * np.abs(B).max() * np.abs(C).max()
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
 
 class TestCpdAls:
