@@ -6,13 +6,16 @@ are CSV files plus a ``run_meta.txt`` with the resolved configuration.
 """
 
 import argparse
+import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from .dlra import DlraModel, ModeDictionary, TunerConfig, ao_dlra, complete_missing_rows
-from .experiments import MSC_SOLVERS, TEST_NAMES, default_config, run_experiment
+from .experiments import (MSC_SOLVERS, MSC_STRATEGIES, TEST_NAMES, ExperimentConfig,
+                          default_config, run_experiment)
 from .fileio import (
     is_tensor_file,
     read_config,
@@ -24,45 +27,40 @@ from .fileio import (
 from .linalg import normalize_columns, residual_cost
 
 
-_INT_KEYS = {
-    "n", "m", "m1", "m2", "d", "d2", "k", "k2", "r", "n_instances",
-    "n_inits", "tau", "l_max", "ipalm_iters", "seed", "patch_h", "patch_w",
-    "stop_max_iter",
-}
-_FLOAT_KEYS = {"snr_db", "cond_b", "mu", "missing_frac", "stop_rel_tol"}
-_GRID_KEYS = {"snr_grid", "cond_grid", "k_grid", "d_grid", "alpha_grid"}
-_PAIR_GRID_KEYS = {"nm_grid", "dk_grid"}
-
-
-def _parse_config_file(path):
-    raw = read_config(path)
+def _parse_config_file(path, test_name):
+    """The ``key=value`` lines of ``path`` as :class:`ExperimentConfig`
+    overrides for the protocol ``test_name``, each value read as the
+    annotation of its field: grids comma-separated, pairs as ``10x10``."""
+    kinds = {field.name: field.type for field in dataclasses.fields(ExperimentConfig)}
     out = {}
-    for key, value in raw.items():
-        if key in _INT_KEYS:
-            out[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(value)
-        elif key in _GRID_KEYS:
-            out[key] = tuple(float(tok) for tok in value.split(","))
-        elif key in _PAIR_GRID_KEYS:
-            # pairs written as 10x10,50x1000
-            out[key] = tuple(
-                tuple(int(side) for side in tok.split("x"))
-                for tok in value.split(",")
-            )
-        elif key == "solvers":
-            out[key] = tuple(tok.strip() for tok in value.split(","))
-        elif key == "alpha":
-            out[key] = value if value == "auto" else float(value)
-        elif key == "test_name":
-            continue
-        else:
+    for key, value in read_config(path).items():
+        if key not in kinds:
             raise ValueError(f"unknown config key {key!r}")
-    if "k_grid" in out:
-        out["k_grid"] = tuple(int(v) for v in out["k_grid"])
-    if "d_grid" in out:
-        out["d_grid"] = tuple(int(v) for v in out["d_grid"])
+        out[key] = _read_value(key, kinds[key], value)
+    if out.pop("test_name", test_name) != test_name:
+        raise ValueError(
+            f"config key 'test_name' does not match the protocol {test_name!r}")
     return out
+
+
+def _read_value(key, kind, text):
+    """``text`` read as a value of the annotation ``kind`` of config key ``key``."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        if args[-1] is Ellipsis:
+            return tuple(_read_value(key, args[0], tok) for tok in text.split(","))
+        sides = text.split("x")
+        if len(sides) == len(args):
+            return tuple(_read_value(key, a, side) for a, side in zip(args, sides))
+    else:
+        # a union such as float | str takes the first member that reads
+        for option in args or (kind,):
+            try:
+                return option(text.strip())
+            except ValueError:
+                pass
+    name = kind.__name__ if isinstance(kind, type) else kind
+    raise ValueError(f"config key {key!r}: {text!r} does not read as {name}")
 
 
 def _load_dictionary(path):
@@ -95,7 +93,11 @@ def msc_main(argv=None):
 
     args = parser.parse_args(argv)
     if args.command == "bench":
-        overrides = _parse_config_file(args.config) if args.config else {}
+        if args.jobs < 1:
+            p_bench.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+        overrides = {}
+        if args.config:
+            overrides = _parse_config_file(args.config, args.test_name)
         if args.seed is not None:
             overrides["seed"] = args.seed
         config = default_config(args.test_name, **overrides)
@@ -106,10 +108,8 @@ def msc_main(argv=None):
     Y = read_matrix_csv(args.data)
     D = _load_dictionary(args.dict_path)
     B = read_matrix_csv(args.mixing)
-    from .experiments import _run_msc_solver
-
     try:
-        rep = _run_msc_solver(args.solver, Y, D, B, args.k, args.alpha)
+        rep = MSC_STRATEGIES[args.solver].run(Y, D, B, args.k, args.alpha)
     except ValueError as exc:
         # the solvers name a rejected k or alpha; that is a usage error
         msg = str(exc)

@@ -175,8 +175,11 @@ class MixingOperator:
 
     @property
     def rank_deficient(self):
-        """Full column rank is assumed by most solvers; flag when violated."""
-        return self.min_singular_value <= 1e-12
+        """Whether the Gram matrix is singular to working precision: its
+        smallest eigenvalue is at most ``r * eps`` times its largest, the
+        rounding floor of ``eigvalsh``. Most solvers assume full column rank."""
+        low, high = self._extreme_eigenvalues
+        return bool(low <= self.n_cols * np.finfo(float).eps * high)
 
     @property
     def shape(self):

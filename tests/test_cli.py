@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mscdlra.cli import dlra_main, msc_main
+from mscdlra.cli import _parse_config_file, dlra_main, msc_main
+from mscdlra.experiments import default_config
 from mscdlra.fileio import read_matrix_csv, write_matrix_csv, write_tensor
 from mscdlra.synth import gen_codes, gen_dictionary, gen_mixing
 
@@ -172,3 +175,73 @@ def test_bad_config_key_rejected(tmp_path):
     cfg.write_text("warp_factor=9\n")
     with pytest.raises(ValueError, match="unknown config key"):
         msc_main(["bench", "noise_sweep", "--config", str(cfg), "--out", str(tmp_path)])
+
+
+def _config_text(value):
+    """A config-file value as written by hand: grids comma-separated, pairs
+    joined by 'x'."""
+    if isinstance(value, tuple):
+        return ",".join("x".join(map(str, v)) if isinstance(v, tuple) else str(v)
+                        for v in value)
+    return str(value)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("noise_sweep", {}),
+    ("kd_sweep", {"alpha": 0.0125, "seed": 7}),
+    ("completion", {}),
+    ("denoise", {}),
+])
+def test_every_config_field_round_trips(tmp_path, name, overrides):
+    cfg = default_config(name, **overrides)
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+              if f.name != "test_name"}
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{k}={_config_text(v)}\n" for k, v in fields.items()))
+    parsed = _parse_config_file(path, name)
+    # repr tells an int grid from a float one
+    assert {k: repr(v) for k, v in parsed.items()} == {
+        k: repr(v) for k, v in fields.items()
+    }
+    assert default_config(name, **parsed) == cfg
+
+
+@pytest.mark.parametrize("line, key", [
+    ("k_grid=1.7,2", "k_grid"),
+    ("n=12.5", "'n'"),
+    ("nm_grid=10x10x3", "nm_grid"),
+    ("dk_grid=50x5.5", "dk_grid"),
+    ("snr_grid=20,", "snr_grid"),
+])
+def test_config_value_of_the_wrong_type_names_the_key(tmp_path, line, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError, match=key):
+        _parse_config_file(path, "noise_sweep")
+
+
+def test_config_test_name_must_match_the_protocol(tmp_path):
+    path = tmp_path / "named.cfg"
+    path.write_text("test_name=noise_sweep\nn=12\n")
+    assert _parse_config_file(path, "noise_sweep") == {"n": 12}
+    with pytest.raises(ValueError, match="test_name"):
+        _parse_config_file(path, "dmf_synth")
+
+
+def test_config_alpha_bogus_rejected(tmp_path):
+    path = tmp_path / "alpha.cfg"
+    path.write_text("alpha=bogus\n")
+    with pytest.raises(ValueError, match="alpha"):
+        msc_main(["bench", "noise_sweep", "--config", str(path),
+                  "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_msc_bench_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        msc_main(["bench", "noise_sweep", "--out", str(tmp_path / "out"),
+                  "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "argument --jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from mscdlra.experiments import (
+    MSC_SOLVERS,
+    MSC_STRATEGIES,
+    PROTOCOLS,
+    TEST_NAMES,
     ExperimentConfig,
     ResultTable,
     default_config,
@@ -9,6 +13,33 @@ from mscdlra.experiments import (
     gen_denoise_instance,
     run_experiment,
 )
+
+MSC_PROTOCOLS = ("noise_sweep", "kd_sweep", "runtime_sweep", "cond_sweep",
+                 "init_study", "alpha_sensitivity", "nn_compare")
+TINY_MSC = dict(n=12, m=10, d=16, k=2, r=2, n_instances=2)
+
+# every protocol at shapes small enough to run twice in a test
+TINY = {
+    "noise_sweep": dict(TINY_MSC, snr_grid=(20.0, 5.0), alpha=0.01,
+                        solvers=tuple(MSC_STRATEGIES)),
+    "kd_sweep": dict(TINY_MSC, k_grid=(1, 2), d_grid=(8, 12), alpha="auto",
+                     solvers=("trick_omp", "block_fista")),
+    "runtime_sweep": dict(TINY_MSC, nm_grid=((12, 10),), dk_grid=((16, 2),),
+                          alpha=0.01, solvers=("trick_omp", "mixed_fista")),
+    "cond_sweep": dict(TINY_MSC, cond_grid=(1.0, 100.0), solvers=("trick_omp",)),
+    "init_study": dict(TINY_MSC, n_inits=2, alpha="auto",
+                       solvers=("iht", "homp", "block_fista")),
+    "alpha_sensitivity": dict(TINY_MSC, alpha_grid=(1e-3, 1e-2)),
+    "nn_compare": dict(TINY_MSC, snr_grid=(20.0,), alpha=0.01),
+    "dmf_synth": dict(n=20, m=18, d=24, k=3, r=2, n_instances=2, l_max=10,
+                      ipalm_iters=50),
+    "dcpd_synth": dict(n=10, m1=9, m2=8, d=14, k=2, r=2, n_instances=1, l_max=8,
+                       ipalm_iters=30),
+    "completion": dict(patch_h=6, patch_w=6, m=12, r=2, k=3, n_instances=2,
+                       n_inits=2, l_max=15),
+    "denoise": dict(n=40, m1=20, m2=4, d=24, d2=14, k=3, k2=3, r=2,
+                    n_instances=1, l_max=6),
+}
 
 
 def tiny_noise_config(**overrides):
@@ -38,6 +69,79 @@ class TestConfig:
         assert cfg.snr_db == 100.0
         assert cfg.alpha == 1e-2
         assert cfg.tau == 20
+
+
+class TestProtocolTable:
+    def test_public_names_keep_their_values(self):
+        assert TEST_NAMES == (
+            "noise_sweep", "kd_sweep", "runtime_sweep", "cond_sweep",
+            "init_study", "alpha_sensitivity", "nn_compare", "dmf_synth",
+            "dcpd_synth", "completion", "denoise",
+        )
+        assert MSC_SOLVERS == ("trick_omp", "iht", "homp", "block_fista",
+                               "mixed_fista")
+        assert set(TINY) == set(PROTOCOLS)
+
+    def test_defaults_are_valid_configs(self):
+        for name in TEST_NAMES:
+            cfg = default_config(name)
+            assert set(cfg.solvers) <= set(PROTOCOLS[name].strategies)
+
+    @pytest.mark.parametrize("name", MSC_PROTOCOLS)
+    def test_msc_protocols_accept_every_msc_strategy(self, name):
+        cfg = default_config(name, solvers=tuple(MSC_STRATEGIES))
+        assert "block_fista_nn" in cfg.solvers
+
+    @pytest.mark.parametrize("name", TEST_NAMES)
+    def test_misspelled_solver_rejected_before_any_cell(self, name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("mscdlra.experiments._execute_cell", refuse)
+        valid = tuple(PROTOCOLS[name].strategies)
+        with pytest.raises(ValueError, match="must name at least one of") as exc:
+            run_experiment(default_config(name, solvers=(valid[0], valid[0] + "x")))
+        assert all(repr(s) in str(exc.value) for s in valid)
+
+    @pytest.mark.parametrize("name, solvers", [
+        ("noise_sweep", ("trick_omp", "hompp")),
+        ("dmf_synth", ("ao_random", "sc_als")),
+        ("denoise", ("omp",)),
+    ])
+    def test_strategy_of_another_protocol_rejected(self, name, solvers):
+        with pytest.raises(ValueError, match="must name at least one of"):
+            default_config(name, solvers=solvers)
+
+    @pytest.mark.parametrize("name", TEST_NAMES)
+    def test_empty_solvers_rejected(self, name):
+        with pytest.raises(ValueError, match="solvers"):
+            default_config(name, solvers=())
+
+    @pytest.mark.parametrize("name", ["dmf_synth", "dcpd_synth", "completion",
+                                      "denoise"])
+    def test_auto_alpha_rejected_where_never_tuned(self, name):
+        with pytest.raises(ValueError, match="alpha='auto'"):
+            default_config(name, alpha="auto")
+
+    @pytest.mark.parametrize("alpha", ["bogus", "0.01", float("nan"),
+                                       float("inf"), None])
+    def test_alpha_neither_auto_nor_finite_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be"):
+            default_config("noise_sweep", alpha=alpha)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_experiment(tiny_noise_config(), jobs=jobs)
+
+    @pytest.mark.parametrize("name", TEST_NAMES)
+    def test_results_identical_across_jobs(self, name, tmp_path):
+        cfg = default_config(name, **TINY[name])
+        run_experiment(cfg, jobs=1, out_dir=tmp_path / "serial")
+        run_experiment(cfg, jobs=2, out_dir=tmp_path / "pool")
+        serial = (tmp_path / "serial" / "results.csv").read_bytes()
+        assert serial == (tmp_path / "pool" / "results.csv").read_bytes()
+        assert serial.count(b"\n") > 1
 
 
 class TestRowContracts:

@@ -14,6 +14,7 @@ from mscdlra.linalg import (
     spectral_norm_sq,
     support_from_values,
 )
+from mscdlra.synth import gen_mixing
 
 
 def kron_ls_oracle(Y, Dm, Bm, S):
@@ -171,6 +172,20 @@ class TestMixingOperator:
         assert MixingOperator(B).rank_deficient
         assert not MixingOperator(np.eye(3)).rank_deficient
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_repeated_column_is_rank_deficient(self, seed):
+        # the Gram's smallest eigenvalue sits at its rounding floor, far
+        # above any absolute threshold on the singular value
+        B = np.random.default_rng(seed).standard_normal((50, 6))
+        B[:, -1] = B[:, 0]
+        assert MixingOperator(B).rank_deficient
+        assert MixingOperator(B, np.ones((3, 6))).rank_deficient
+
+    @pytest.mark.parametrize("cond", [200.0, 1e5])
+    def test_conditioned_mixing_is_full_rank(self, cond):
+        for seed in range(10):
+            assert not MixingOperator(gen_mixing(50, 6, cond, seed)).rank_deficient
+
 
 class TestLazySpectrum:
     """``MixingOperator`` computes the Gram eigenvalues on first use."""
@@ -211,10 +226,11 @@ class TestLazySpectrum:
         op = self.operator(m1, m2, r, kr, deficient, seed)
         evals = np.linalg.eigvalsh(op.gram())
         smin = float(np.sqrt(max(evals[0], 0.0)))
+        singular = bool(evals[0] <= r * np.finfo(float).eps * evals[-1])
         reads = [
             lambda: op.spectral_norm_sq() == float(evals[-1]),
             lambda: op.min_singular_value == smin,
-            lambda: op.rank_deficient == (smin <= 1e-12),
+            lambda: op.rank_deficient == singular,
         ]
         # whichever value is read first computes the eigenvalues
         assert reads[first]()

@@ -172,6 +172,13 @@ class TestTrickOmp:
         with pytest.raises(ValueError, match="singular value"):
             trick_omp(np.ones((4, 6)), np.eye(4), np.ones((6, 2)), 1)
 
+    def test_repeated_mixing_column_raises(self):
+        inst = gen_msc_instance(
+            n=20, m=30, d=30, k=2, r=4, snr_db=30.0, cond_b=20.0, seed=5204,
+        )
+        with pytest.raises(ValueError, match="mixing factor is rank deficient"):
+            trick_omp(inst["Y"], inst["D"], inst["B"][:, [0, 1, 2, 0]], 2)
+
 
 class TestReductionBound:
     def test_orthogonal_dictionary(self):
@@ -312,6 +319,18 @@ class TestHomp:
         )
         rep = homp(inst["Y"], inst["D"], inst["B"], 3, X0=np.zeros((30, 4)))
         assert rep.iterations >= 1
+
+    def test_repeated_mixing_column_skips_projected_greedy(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trick_omp codes built for a singular mixing factor")
+
+        monkeypatch.setattr("mscdlra.solvers._trick_omp_codes", refuse)
+        inst = gen_msc_instance(
+            n=20, m=30, d=30, k=2, r=4, snr_db=30.0, cond_b=20.0, seed=5204,
+        )
+        rep = homp(inst["Y"], inst["D"], inst["B"][:, [0, 1, 2, 0]], 2)
+        assert rep.iterations >= 1
+        assert np.all(np.isfinite(rep.codes.values))
 
     def test_rank_deficient_mixing_zero_start(self):
         inst = gen_msc_instance(
