@@ -9,9 +9,12 @@ Two drivers are provided: :func:`ao_dlra`, alternating optimization with
 an inner accelerated proximal solver whose regularization ratios are
 tuned automatically until each code column lands in a target sparsity
 window, and :func:`ipalm`, an inertial proximal alternating scheme that
-is slower in practice but keeps every iterate feasible.
+is slower in practice but keeps every iterate feasible. Both run the one
+alternating sweep :func:`_alternate` and differ only in their factor
+rule and in the code step of their per-mode coders.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,7 +25,6 @@ from .linalg import (
     Dictionary,
     MixingOperator,
     SparseCodes,
-    _kr_product,
     _Problem,
     _residual_cost,
     as_matrix,
@@ -44,7 +46,6 @@ from .solvers import (
     _truncate_support,
 )
 from .tensor import (
-    _exact_ls_factor,
     _hals_factor,
     _tensor_factor_updates,
     _update_factor,
@@ -165,14 +166,15 @@ def random_init(data, model, seed):
     return init
 
 
-def _projected_gradient_factor(Ymat, A, F0, inner_iters=50, ridge=_INNER_RIDGE):
-    """Nonnegative update of F in ``||Ymat - A F^T||`` by projected gradient."""
-    G = A.T @ A
-    L = spectral_norm_sq(A) + ridge if A.any() else 1.0
-    F = np.maximum(F0, 0.0)
-    M = Ymat.T @ A
+def _projected_gradient_factor(F, gram, mtt, inner_iters=50, ridge=_INNER_RIDGE):
+    """Nonnegative update of F in ``||Y - F K^T||`` from ``gram = K^T K``
+    and ``mtt = Y^T K``: ``inner_iters`` projected gradient steps of size
+    ``1 / (lambda_max(gram) + ridge)``, the largest eigenvalue read by
+    ``eigvalsh``. A zero ``gram`` (and ``mtt``) leaves ``max(F, 0)``."""
+    L = np.linalg.eigvalsh(gram)[-1] + ridge
+    F = np.maximum(F, 0.0)
     for _ in range(inner_iters):
-        F = np.maximum(F - (F @ G - M) / L, 0.0)
+        F = np.maximum(F - (F @ gram - mtt) / L, 0.0)
     return F
 
 
@@ -208,36 +210,109 @@ def _tuned_fista(P, sigma_d_sq, alpha, k, tau, X_warm, stop, nonneg, tuner):
 
 
 class _ModeCoder:
-    """State and coding step of one dictionary-constrained mode of
-    :func:`ao_dlra`: its atom Gram, raw iterate, ratios, debiased codes
-    and inner-solve counts."""
+    """Coding step of one dictionary-constrained mode of :func:`ao_dlra`.
 
-    def __init__(self, mode, X_init, alpha0, r):
-        self.mode = mode
+    Holds the mode's atom Gram, the raw iterate of its tuned convex
+    solve, the ratios (and their trace, one entry per update), the
+    debiased codes, the inner stopping rule and tuner, and the inner
+    iterations and tuner rounds taken. ``factor()`` is ``D @ codes`` and
+    ``values()`` the codes, both as arrays."""
+
+    def __init__(self, mode, X_init, r, stop, tuner):
+        self.mode, self.stop, self.tuner = mode, stop, tuner
         self.D = mode.dictionary.matrix
         self.U = self.D.T @ self.D
         self.sigma_d_sq = spectral_norm_sq(self.D)
         self.inner_iterations = self.tuner_rounds = 0
         self.X_raw = np.array(X_init, dtype=float)
         self.codes = SparseCodes.from_values(self.X_raw)
-        self.alpha = _alpha_vector(alpha0, r)
+        self.alpha = _alpha_vector(tuner.alpha0, r)
+        self.alpha_trace = []
 
-    def update(self, Ymat, op, stop, tuner):
-        """Run the tuned convex solve, take the support of its iterate (the
-        top-``k`` truncation when the tuner hit its round cap) and refit
-        the codes there. Returns whether the cap was hit."""
+    def factor(self):
+        return self.D @ self.codes.values
+
+    def values(self):
+        return self.codes.values
+
+    def update(self, Ymat, op):
+        """Run the tuned convex solve against the data ``Ymat`` and mixing
+        ``op``, take the support of its iterate (the top-``k`` truncation
+        when the tuner hit its round cap) and refit the codes there.
+        Returns whether the cap was hit."""
         k, nonneg = self.mode.k, self.mode.nonneg
         P = _Problem(Ymat, self.mode.dictionary, op, self.U)
         self.X_raw, self.alpha, capped, iterations, rounds = _tuned_fista(
-            P, self.sigma_d_sq, self.alpha, k, tuner.tau, self.X_raw, stop, nonneg,
-            tuner,
+            P, self.sigma_d_sq, self.alpha, k, self.tuner.tau, self.X_raw, self.stop,
+            nonneg, self.tuner,
         )
         self.inner_iterations += iterations
         self.tuner_rounds += rounds
+        self.alpha_trace.append(self.alpha.copy())
         X = self.X_raw
         S = _truncate_support(X, k) if capped else support_from_values(X)
         self.codes = _debias(P, S, k, nonneg, _INNER_RIDGE)
         return capped
+
+
+def _sparse_project(V, k, nonneg):
+    return hard_threshold_columns(np.maximum(V, 0.0) if nonneg else V, k)
+
+
+def _masked(X):
+    """``X`` with the entries of magnitude at most ``SUPPORT_TOL`` zeroed,
+    as in :meth:`SparseCodes.from_values`."""
+    return np.where(np.abs(X) > SUPPORT_TOL, X, 0.0)
+
+
+class _InertialCoder:
+    """Coding step of one dictionary-constrained mode of :func:`ipalm`.
+
+    Holds the mode's atom Gram ``U`` and its Frobenius norm, the feasible
+    iterate ``X`` (the start projected onto k-sparse, and nonnegative
+    where the mode is) and its extrapolation ``Z``. Each update is one
+    inertial hard-thresholding step with inertia ``(l - 1) / (l + 2)`` at
+    its ``l``-th call and stepsize ``mu / (||U|| ||G||)``, from the Gram
+    ``G`` and data product of the mixing operator. ``factor()`` is
+    ``D @ X``; ``values()`` is ``X`` with entries of magnitude at most
+    ``SUPPORT_TOL`` zeroed. It takes no inner iterations, tunes no ratio
+    and never reports a capped tuner."""
+
+    inner_iterations = tuner_rounds = 0
+
+    def __init__(self, mode, X_start, mu):
+        self.mode, self.mu = mode, mu
+        self.D = mode.dictionary.matrix
+        self.U = self.D.T @ self.D
+        self.eps_d = float(np.linalg.norm(self.U))
+        self.X = _sparse_project(X_start, mode.k, mode.nonneg)
+        self.Z = self.X.copy()
+        self.steps = 0
+        self.alpha_trace = []
+
+    def factor(self):
+        return self.D @ self.X
+
+    def values(self):
+        return _masked(self.X)
+
+    def update(self, Ymat, op):
+        self.steps += 1
+        beta = (self.steps - 1.0) / (self.steps + 2.0)
+        G, M = op.gram(), self.D.T @ op._data_product(Ymat)
+        eta = self.mu / max(self.eps_d * np.linalg.norm(G), _TINY)
+        X = _sparse_project(self.Z - eta * (self.U @ self.Z @ G - M), self.mode.k,
+                            self.mode.nonneg)
+        self.X, self.Z = X, X + beta * (X - self.X)
+        return False
+
+
+def _gradient_factor_step(F, gram, mtt, mu, nonneg):
+    """Projected gradient step on F in ``||Y - F K^T||`` with the
+    Frobenius-norm stepsize ``mu / ||K^T K||``."""
+    eta = mu / max(np.linalg.norm(gram), _TINY)
+    F = F - eta * (F @ gram - mtt)
+    return np.maximum(F, 0.0) if nonneg else F
 
 
 def _data_array(data, model):
@@ -258,8 +333,12 @@ def _fit_data(data, model, init):
     """The mode-0 data matrix, the mode-1 and mode-2 unfoldings of a
     tensor (``None`` for a matrix) and checked copies of the starting
     factors in ``init``: "X" (d, r), "B" (m, r), and "C" (m2, r) and
-    "X1" (d1, r) where the model has them (``None`` where it does not)."""
+    "X1" (d1, r) where the model has them (``None`` where it does not).
+    All-zero data, which has no sparse code to recover, is rejected."""
     Y = _data_array(data, model)
+    if not Y.any():
+        raise ValueError("data is all zero; a dictionary-constrained fit needs "
+                         "nonzero data")
     r = model.rank
     shapes = {"X": (model.mode0.dictionary.n_atoms, r), "B": (Y.shape[1], r)}
     if model.is_tensor:
@@ -309,6 +388,69 @@ class _BestIterate:
         )
 
 
+def _factor_updates(update, A, B, C, Ymat, Y2, Y3, update_b):
+    """The unconstrained factors after one round of ``update(F, gram,
+    mtt)``: for a matrix (``C`` is ``None``) B from ``A^T A`` and
+    ``Ymat^T A``; for a tensor :func:`_tensor_factor_updates`."""
+    if C is None:
+        return update(B, A.T @ A, Ymat.T @ A), None
+    return _tensor_factor_updates(update, A, B, C, Y2, Y3, update_b)
+
+
+def _alternate(Ymat, Y2, Y3, B, C, coders, update, l_max, stop=None, cost_trace=None):
+    """The alternating sweep of :func:`ao_dlra` and :func:`ipalm`.
+
+    ``coders`` holds one coder per constrained mode, mode 0 first; a
+    second one replaces ``B`` by its ``factor()`` from the start. Each of
+    at most ``l_max`` iterations (i) updates the unconstrained factors
+    (B, unless mode 1 is coded, and C) by :func:`_factor_updates` with
+    the rule ``update`` against ``A = coders[0].factor()``, (ii) codes
+    mode 1 against ``MixingOperator(A, C)`` on the unfolding ``Y2`` and
+    sets ``B`` from it, (iii) codes mode 0 against ``MixingOperator(B,
+    C)``, (iv) appends the cost of ``coders[0].values()`` to
+    ``cost_trace`` (which may open with a start cost) and offers the
+    iterate to :class:`_BestIterate`, and (v) stops early when ``stop``
+    is given and its rule holds for the last two costs. A coder update
+    that reports a capped tuner adds a note; the last note is warned.
+
+    Returns the :class:`DlraReport` of the best iterate, with mode 0's
+    ratio trace and the coders' inner iterations and tuner rounds.
+    """
+    cost_trace = [] if cost_trace is None else cost_trace
+    notes = []
+    best = _BestIterate()
+    if len(coders) > 1:
+        B = coders[1].factor()
+    for l in range(1, l_max + 1):
+        A = coders[0].factor()
+        B, C = _factor_updates(update, A, B, C, Ymat, Y2, Y3, len(coders) == 1)
+        if len(coders) > 1:
+            if coders[1].update(Y2, MixingOperator(A, C)):
+                notes.append(f"iteration {l}: mode-1 tuner hit the round cap")
+            B = coders[1].factor()
+        op0 = MixingOperator(B, C)
+        if coders[0].update(Ymat, op0):
+            notes.append(f"iteration {l}: tuner hit the round cap")
+        codes = {i: coder.values() for i, coder in enumerate(coders)}
+        cost_trace.append(_residual_cost(Ymat, coders[0].D, codes[0], op0))
+        best.offer(cost_trace[-1], codes, B, C)
+        if stop is not None and stop.done(cost_trace[-2], cost_trace[-1]):
+            break
+    if notes:
+        warnings.warn(notes[-1], RuntimeWarning)
+    return best.report(
+        cost_trace, coders[0].alpha_trace, l, notes,
+        inner_iterations=sum(coder.inner_iterations for coder in coders),
+        tuner_rounds=sum(coder.tuner_rounds for coder in coders),
+    )
+
+
+def _coded_modes(model, start):
+    """``(mode, starting codes)`` of each constrained mode, mode 0 first."""
+    pairs = ((model.mode0, start["X"]), (model.mode1, start["X1"]))
+    return [(mode, X) for mode, X in pairs if mode is not None]
+
+
 def ao_dlra(data, model, tuner=None, l_max=100, init=None, seed=0, stop=None):
     """Alternating optimization for dictionary-constrained low-rank models.
 
@@ -324,7 +466,8 @@ def ao_dlra(data, model, tuner=None, l_max=100, init=None, seed=0, stop=None):
     Parameters
     ----------
     data : ndarray
-        Matrix (n, m) or tensor (n, m1, m2) according to the model kind.
+        Matrix (n, m) or tensor (n, m1, m2) according to the model kind;
+        not all zero.
     model : DlraModel
     tuner : TunerConfig
     l_max : int
@@ -347,80 +490,14 @@ def ao_dlra(data, model, tuner=None, l_max=100, init=None, seed=0, stop=None):
     stop = stop or StoppingRule()
     init = init or random_init(data, model, seed)
     Ymat, Y2, Y3, start = _fit_data(data, model, init)
-    B, C = start["B"], start["C"]
-    coders = [_ModeCoder(model.mode0, start["X"], tuner.alpha0, model.rank)]
-    if model.mode1 is not None:
-        coders.append(_ModeCoder(model.mode1, start["X1"], tuner.alpha0, model.rank))
-        B = coders[1].D @ coders[1].codes.values
-
-    def update_factor(F, gram, mtt):
-        return _update_factor(F, gram, mtt, model.nonneg, _INNER_RIDGE)
-
-    best = _BestIterate()
-    cost_trace = []
-    alpha_trace = []
-    notes = []
-    for l in range(1, l_max + 1):
-        A = coders[0].D @ coders[0].codes.values
-        # unconstrained block updates
-        if model.is_tensor:
-            B, C = _tensor_factor_updates(
-                update_factor, A, B, C, Y2, Y3, model.mode1 is None
-            )
-        elif model.nonneg:
-            B = _projected_gradient_factor(Ymat, A, B)
-        else:
-            B = _exact_ls_factor(A.T @ A, (A.T @ Ymat).T, _INNER_RIDGE)
-
-        # second constrained mode
-        if model.mode1 is not None:
-            if coders[1].update(Y2, MixingOperator(A, C), stop, tuner):
-                notes.append(f"iteration {l}: mode-1 tuner hit the round cap")
-            B = coders[1].D @ coders[1].codes.values
-
-        # constrained mode 0
-        op0 = MixingOperator(B, C)
-        if coders[0].update(Ymat, op0, stop, tuner):
-            notes.append(f"iteration {l}: tuner hit the round cap")
-
-        cost = _residual_cost(Ymat, coders[0].D, coders[0].codes.values, op0)
-        cost_trace.append(cost)
-        alpha_trace.append(coders[0].alpha.copy())
-        best.offer(cost, {i: c.codes.values for i, c in enumerate(coders)}, B, C)
-
-    if notes:
-        warnings.warn(notes[-1], RuntimeWarning)
-    return best.report(
-        cost_trace, alpha_trace, l_max, notes,
-        inner_iterations=sum(coder.inner_iterations for coder in coders),
-        tuner_rounds=sum(coder.tuner_rounds for coder in coders),
-    )
-
-
-def _sparse_project(V, k, nonneg):
-    return hard_threshold_columns(np.maximum(V, 0.0) if nonneg else V, k)
-
-
-def _masked(X):
-    """``X`` with the entries of magnitude at most ``SUPPORT_TOL`` zeroed,
-    as in :meth:`SparseCodes.from_values`."""
-    return np.where(np.abs(X) > SUPPORT_TOL, X, 0.0)
-
-
-def _gradient_factor_step(F, gram, mtt, mu, nonneg):
-    """Projected gradient step on F in ``||Y - F K^T||`` with the
-    Frobenius-norm stepsize ``mu / ||K^T K||``."""
-    eta = mu / max(np.linalg.norm(gram), _TINY)
-    F = F - eta * (F @ gram - mtt)
-    return np.maximum(F, 0.0) if nonneg else F
-
-
-def _inertial_code_step(X, Z, mode, U, eps_d, G, M, mu, beta):
-    """Inertial hard-thresholding step on the codes of one constrained
-    mode; returns the new iterate and its extrapolation."""
-    eta = mu / max(eps_d * np.linalg.norm(G), _TINY)
-    X_new = _sparse_project(Z - eta * (U @ Z @ G - M), mode.k, mode.nonneg)
-    return X_new, X_new + beta * (X_new - X)
+    coders = [_ModeCoder(mode, X, model.rank, stop, tuner)
+              for mode, X in _coded_modes(model, start)]
+    if model.nonneg and not model.is_tensor:
+        update = _projected_gradient_factor
+    else:
+        update = functools.partial(_update_factor, nonneg=model.nonneg,
+                                   ridge=_INNER_RIDGE)
+    return _alternate(Ymat, Y2, Y3, start["B"], start["C"], coders, update, l_max)
 
 
 def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
@@ -431,13 +508,14 @@ def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
     with inertia ``(l - 1) / (l + 2)`` and conservative Frobenius-norm
     stepsizes scaled by the safeguard ``mu <= 1``. Iterates stay
     feasible throughout. Stops at ``l_max`` or when the relative cost
-    change falls to ``rel_tol`` (see :class:`StoppingRule`).
+    change falls to ``rel_tol`` (see :class:`StoppingRule`); the cost
+    trace opens with the cost of the projected start.
 
     Each iteration forms the mixing operator's Gram matrix, whose
     construction rejects a factor gone non-finite, but not its spectrum,
     and scores the iterate with entries of magnitude at most
     ``SUPPORT_TOL`` zeroed. Support lists are built once, for the best
-    iterate returned.
+    iterate returned. All-zero data is rejected.
     """
     if mu > 1.0 or mu <= 0.0:
         raise ValueError("stepsize safeguard mu must lie in (0, 1]")
@@ -451,61 +529,14 @@ def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
         B = np.maximum(B, 0.0)
         if C is not None:
             C = np.maximum(C, 0.0)
+    coders = [_InertialCoder(mode, X, mu) for mode, X in _coded_modes(model, start)]
+    op = MixingOperator(coders[1].factor() if len(coders) > 1 else B, C)
+    start_cost = _residual_cost(Ymat, coders[0].D, coders[0].values(), op)
 
-    def code_start(mode, key):
-        """Dictionary, its Gram matrix and norm, and the projected start."""
-        Dmat = mode.dictionary.matrix
-        U = Dmat.T @ Dmat
-        X = _sparse_project(start[key], mode.k, mode.nonneg)
-        return Dmat, U, float(np.linalg.norm(U)), X, X.copy()
-
-    Dm, U0, eps_d0, X, Z = code_start(model.mode0, "X")
-    if model.mode1 is not None:
-        D2, U1, eps_d1, X1, Z1 = code_start(model.mode1, "X1")
-        B = D2 @ X1
-
-    def update_factor(F, gram, mtt):
+    def update(F, gram, mtt):
         return _gradient_factor_step(F, gram, mtt, mu, model.nonneg)
 
-    best = _BestIterate()
-    op0 = MixingOperator(B, C)
-    cost_trace = [_residual_cost(Ymat, Dm, _masked(X), op0)]
-    for l in range(1, l_max + 1):
-        A = Dm @ X
-        beta = (l - 1.0) / (l + 2.0)
-        # unconstrained factor steps
-        if model.is_tensor:
-            B, C = _tensor_factor_updates(
-                update_factor, A, B, C, Y2, Y3, model.mode1 is None
-            )
-        else:
-            B = update_factor(B, A.T @ A, Ymat.T @ A)
-
-        # second constrained mode
-        if model.mode1 is not None:
-            G1 = (A.T @ A) * (C.T @ C)
-            M1 = D2.T @ _kr_product(Y2, A, C)
-            X1, Z1 = _inertial_code_step(
-                X1, Z1, model.mode1, U1, eps_d1, G1, M1, mu, beta
-            )
-            B = D2 @ X1
-
-        # constrained mode 0
-        op0 = MixingOperator(B, C)
-        M0 = Dm.T @ op0._data_product(Ymat)
-        X, Z = _inertial_code_step(
-            X, Z, model.mode0, U0, eps_d0, op0.gram(), M0, mu, beta
-        )
-
-        codes = {0: _masked(X)}
-        if model.mode1 is not None:
-            codes[1] = _masked(X1)
-        cost_trace.append(_residual_cost(Ymat, Dm, codes[0], op0))
-        best.offer(cost_trace[-1], codes, B, C)
-        if stop.done(cost_trace[-2], cost_trace[-1]):
-            break
-
-    return best.report(cost_trace, [], l, [])
+    return _alternate(Ymat, Y2, Y3, B, C, coders, update, l_max, stop, [start_cost])
 
 
 def _nmf_hals(Y, r, iters=200, seed=0, rel_tol=1e-8):

@@ -200,8 +200,8 @@ def _write_meta(out_dir, config, alphas):
         fh.write(f"scipy={scipy.__version__}\n")
         for key, value in dataclasses.asdict(config).items():
             fh.write(f"{key}={value}\n")
-        for solver, a in sorted(alphas.items()):
-            fh.write(f"alpha_resolved.{solver}={a}\n")
+        for key, a in sorted(alphas.items()):
+            fh.write(f"alpha_resolved.{key}={a}\n")
 
 
 def _row(config, param, solver, instance_seed, init_seed, recovery, err,
@@ -240,7 +240,7 @@ MSC_STRATEGIES = {
         lambda Y, D, B, k, a, **kw: mixed_fista(Y, D, B, a, k, **kw), 2, "mixed_fista"),
     "block_fista_nn": MscStrategy(
         lambda Y, D, B, k, a, **kw: block_fista(Y, D, B, a, k, nonneg=True, **kw),
-        3, "block_fista"),
+        3, "block_fista_nn"),
 }
 
 
@@ -269,15 +269,19 @@ def _seeds(config, *key, first=0):
 
 
 def _msc_cells(config, points, alphas=None):
-    """Cells for each ``(param, instance seeds, point)``. The point's fields
-    override the config's shape, noise, conditioning and start; without
-    shared ``alphas`` it also keys the ratios tuned for it."""
-    cells = []
+    """Cells for each ``(param, instance seeds, point)`` and the ratios they
+    use. The point's fields override the config's shape, noise,
+    conditioning and start; without shared ``alphas`` it also keys the
+    ratios tuned for it, returned by ``"<param>.<solver>"``."""
+    cells, resolved = [], dict(alphas or {})
     for param, seeds, point in points:
-        tuned = _point_alphas(config, **point) if alphas is None else alphas
+        tuned = alphas
+        if alphas is None:
+            tuned = _point_alphas(config, **point)
+            resolved.update({f"{param}.{s}": a for s, a in tuned.items()})
         cells += [{"param": param, "instance_seed": seed, "alphas": tuned, **point}
                   for seed in seeds]
-    return cells, alphas or {}
+    return cells, resolved
 
 
 def _snr_cells(config):

@@ -170,10 +170,12 @@ def auto_alpha(params, solver, seed, grid=ALPHA_GRID, n_instances=3):
     score profile votes for the grid middle). The arithmetic mean of the
     per-instance picks is returned.
 
-    ``params`` carries the generation parameters: n, m, d, k, r, snr_db,
-    cond_b and optionally nonneg.
+    ``solver`` is ``"block_fista"``, ``"block_fista_nn"`` (its
+    nonnegative solve) or ``"mixed_fista"``. ``params`` carries the
+    generation parameters: n, m, d, k, r, snr_db, cond_b and optionally
+    nonneg, which draws nonnegative codes.
     """
-    if solver not in ("block_fista", "mixed_fista"):
+    if solver not in ("block_fista", "block_fista_nn", "mixed_fista"):
         raise ValueError(f"unsupported solver {solver!r}")
     grid = list(grid)
     middle = grid[len(grid) // 2]
@@ -187,13 +189,11 @@ def auto_alpha(params, solver, seed, grid=ALPHA_GRID, n_instances=3):
         )
         scores = []
         for a in grid:
-            if solver == "block_fista":
-                rep = block_fista(
-                    inst["Y"], inst["D"], inst["B"], a, params["k"],
-                    stop=stop, nonneg=params.get("nonneg", False),
-                )
-            else:
+            if solver == "mixed_fista":
                 rep = mixed_fista(inst["Y"], inst["D"], inst["B"], a, params["k"], stop=stop)
+            else:
+                rep = block_fista(inst["Y"], inst["D"], inst["B"], a, params["k"],
+                                  stop=stop, nonneg=solver == "block_fista_nn")
             scores.append(support_recovery(rep.codes.support, inst["X"].support))
         scores = np.asarray(scores)
         if scores.max() == scores.min():

@@ -92,37 +92,74 @@ def test_msc_bench_seed_from_config_unless_given(tmp_path):
 
 
 def test_dlra_run_matrix_model(msc_files):
+    """``dmf`` on the signed data; ``dnmf`` on nonnegative data from the
+    same dictionary."""
     paths, tmp = msc_files
-    rc = dlra_main([
-        "run", "--model", "dmf", "--data", str(paths["Y"]),
-        "--dict", str(paths["D"]), "--rank", "2", "--k", "2",
-        "--alpha", "0.001", "--tau", "5", "--iters", "10",
-        "--out", str(tmp / "fit"),
-    ])
-    assert rc == 0
-    assert read_matrix_csv(tmp / "fit" / "codes.csv").shape == (16, 2)
-    assert read_matrix_csv(tmp / "fit" / "factor_B.csv").shape == (10, 2)
+    for model in ("dmf", "dnmf"):
+        data = paths["Y"]
+        if model == "dnmf":
+            D = read_matrix_csv(paths["D"])
+            X = gen_codes(16, 2, 2, seed=2, nonneg=True).values
+            data = tmp / "Y_nonneg.csv"
+            write_matrix_csv(data, D @ X @ np.abs(read_matrix_csv(paths["B"])).T)
+        out = tmp / f"fit_{model}"
+        rc = dlra_main([
+            "run", "--model", model, "--data", str(data),
+            "--dict", str(paths["D"]), "--rank", "2", "--k", "2",
+            "--alpha", "0.001", "--tau", "5", "--iters", "10",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        codes = read_matrix_csv(out / "codes.csv")
+        B = read_matrix_csv(out / "factor_B.csv")
+        assert codes.shape == (16, 2)
+        assert B.shape == (10, 2)
+        if model == "dnmf":
+            assert codes.min() >= 0.0 and B.min() >= 0.0
 
 
 def test_dlra_run_tensor_model(tmp_path):
-    D = gen_dictionary(10, 14, seed=4)
-    X = gen_codes(14, 2, 2, seed=5)
-    rng = np.random.default_rng(6)
-    B = rng.standard_normal((8, 2))
-    C = rng.standard_normal((7, 2))
-    T = np.einsum("il,jl,kl->ijk", D.matrix @ X.values, B, C)
-    data = tmp_path / "T.txt"
-    write_tensor(data, T)
-    dict_path = tmp_path / "D.csv"
-    write_matrix_csv(dict_path, D.matrix)
-    rc = dlra_main([
-        "run", "--model", "dcpd", "--data", str(data),
-        "--dict", str(dict_path), "--rank", "2", "--k", "2",
-        "--alpha", "0.001", "--tau", "4", "--iters", "8",
-        "--out", str(tmp_path / "fit"),
-    ])
-    assert rc == 0
-    assert read_matrix_csv(tmp_path / "fit" / "factor_C.csv").shape == (7, 2)
+    """``dcpd`` with one constrained mode; ``nndcpd`` with a second one
+    (``--dict2``/``--k2``) on nonnegative data."""
+    for model in ("dcpd", "nndcpd"):
+        nonneg = model == "nndcpd"
+        D = gen_dictionary(10, 14, seed=4)
+        X = gen_codes(14, 2, 2, seed=5, nonneg=nonneg)
+        rng = np.random.default_rng(6)
+        if nonneg:
+            D2 = gen_dictionary(8, 12, seed=10)
+            B = D2.matrix @ gen_codes(12, 2, 2, seed=11, nonneg=True).values
+            C = rng.uniform(size=(7, 2))
+        else:
+            B = rng.standard_normal((8, 2))
+            C = rng.standard_normal((7, 2))
+        T = np.einsum("il,jl,kl->ijk", D.matrix @ X.values, B, C)
+        tmp = tmp_path / model
+        tmp.mkdir()
+        data = tmp / "T.txt"
+        write_tensor(data, T)
+        dict_path = tmp / "D.csv"
+        write_matrix_csv(dict_path, D.matrix)
+        extra = []
+        if nonneg:
+            write_matrix_csv(tmp / "D2.csv", D2.matrix)
+            extra = ["--dict2", str(tmp / "D2.csv"), "--k2", "2"]
+        rc = dlra_main([
+            "run", "--model", model, "--data", str(data),
+            "--dict", str(dict_path), "--rank", "2", "--k", "2",
+            "--alpha", "0.001", "--tau", "4", "--iters", "8",
+            "--out", str(tmp / "fit"), *extra,
+        ])
+        assert rc == 0
+        assert read_matrix_csv(tmp / "fit" / "factor_C.csv").shape == (7, 2)
+        if nonneg:
+            codes1 = read_matrix_csv(tmp / "fit" / "codes_mode1.csv")
+            B = read_matrix_csv(tmp / "fit" / "factor_B.csv")
+            assert codes1.shape == (12, 2)
+            np.testing.assert_allclose(B, D2.matrix @ codes1, rtol=1e-10, atol=1e-12)
+            for name in ("codes.csv", "codes_mode1.csv", "factor_B.csv",
+                         "factor_C.csv"):
+                assert read_matrix_csv(tmp / "fit" / name).min() >= 0.0
 
 
 def test_dlra_complete(tmp_path):

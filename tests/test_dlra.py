@@ -421,6 +421,13 @@ class TestFitBoundary:
             else:
                 FITS[fit](T[:, :7], model, init)
 
+    @pytest.mark.parametrize("fit", FITS)
+    @pytest.mark.parametrize("case", [matrix_fit_case, two_mode_fit_case])
+    def test_all_zero_data_names_the_data(self, fit, case):
+        data, model, init = case()
+        with pytest.raises(ValueError, match="^data is all zero"):
+            FITS[fit](np.zeros_like(data), model, init)
+
 
 class TestInitByLra:
     def test_rank_one_tensor_with_true_atom(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mscdlra import synth
 from mscdlra.experiments import (
     MSC_SOLVERS,
     MSC_STRATEGIES,
@@ -8,6 +9,7 @@ from mscdlra.experiments import (
     TEST_NAMES,
     ExperimentConfig,
     ResultTable,
+    _point_alphas,
     default_config,
     gen_completion_instance,
     gen_denoise_instance,
@@ -227,6 +229,36 @@ class TestOtherRunners:
         )
         table = run_experiment(cfg)
         assert len(table.rows) == 2
+
+    @pytest.mark.parametrize("solver, nonneg", [("block_fista", False),
+                                                ("block_fista_nn", True)])
+    def test_nn_compare_tunes_each_solver_with_its_own_solve(self, solver, nonneg,
+                                                             monkeypatch):
+        seen = []
+        real = synth.block_fista
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("nonneg", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "block_fista", spy)
+        cfg = default_config("nn_compare", **dict(TINY_MSC, solvers=(solver,)))
+        assert set(_point_alphas(cfg, snr_db=20.0)) == {solver}
+        assert seen and set(seen) == {nonneg}
+
+    def test_per_point_ratios_recorded_in_run_meta(self, tmp_path):
+        cfg = tiny_noise_config(n_instances=1, alpha="auto",
+                                solvers=("trick_omp", "block_fista", "mixed_fista"))
+        run_experiment(cfg, out_dir=tmp_path)
+        lines = [line for line in (tmp_path / "run_meta.txt").read_text().splitlines()
+                 if line.startswith("alpha_resolved.")]
+        keys = [line.rsplit("=", 1)[0] for line in lines]
+        assert keys == sorted(f"alpha_resolved.snr_db={snr:g}.{s}"
+                              for snr in cfg.snr_grid
+                              for s in ("block_fista", "mixed_fista"))
+        for line in lines:
+            a = float(line.rsplit("=", 1)[1])
+            assert 0.0 < a <= max(synth.ALPHA_GRID)
 
     def test_init_study_rows(self):
         cfg = default_config(

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from mscdlra.dlra import (
     DlraModel,
     ModeDictionary,
+    _TINY,
     _gradient_factor_step,
-    _inertial_code_step,
     _sparse_project,
     ipalm,
     random_init,
@@ -28,6 +28,14 @@ from mscdlra.linalg import (
 )
 from mscdlra.solvers import StoppingRule
 from mscdlra.tensor import _tensor_factor_updates, as_tensor3, unfold1, unfold2, unfold3
+
+
+def _inertial_code_step(X, Z, mode, U, eps_d, G, M, mu, beta):
+    """Inertial hard-thresholding step on the codes of one constrained
+    mode; returns the new iterate and its extrapolation."""
+    eta = mu / max(eps_d * np.linalg.norm(G), _TINY)
+    X_new = _sparse_project(Z - eta * (U @ Z @ G - M), mode.k, mode.nonneg)
+    return X_new, X_new + beta * (X_new - X)
 
 
 def reference_ipalm(data, model, l_max, mu, init, rel_tol):
