@@ -1,7 +1,9 @@
 """Structured dictionary builders: 2-D cosine bases and B-spline banks."""
 
+import functools
+import operator
+
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .linalg import Dictionary, normalize_columns
 
@@ -33,8 +35,11 @@ def bspline_design(n, n_basis, degree=3):
     """Sampled clamped uniform B-spline basis on [0, 1].
 
     Returns an (n, n_basis) nonnegative design matrix; requires
-    ``n_basis >= degree + 1``.
+    ``n_basis >= degree + 1``. ``scipy.interpolate`` is imported on the
+    first call.
     """
+    from scipy.interpolate import BSpline
+
     if n_basis < degree + 1:
         raise ValueError(f"need at least {degree + 1} basis functions")
     t = np.r_[
@@ -53,7 +58,24 @@ def build_bspline_dictionary(n, d, degree=3):
     density (basis counts swept from ``degree + 1`` upward) are sampled
     on ``n`` points and stacked until ``d`` atoms accumulate; columns
     are l2-normalized. Atoms that vanish on the sample grid are skipped.
+
+    The bank of each ``(n, d, degree)`` is built once per process (see
+    :func:`_bspline_bank`); every call returns a new :class:`Dictionary`
+    holding copies of it, so writing into one leaves later calls intact.
+    Integer-like arguments, numpy integers included, are read as Python
+    ints.
     """
+    matrix, norms = _bspline_bank(operator.index(n), operator.index(d),
+                                  operator.index(degree))
+    return Dictionary(matrix.copy(), norms.copy())
+
+
+@functools.lru_cache(maxsize=8)
+def _bspline_bank(n, d, degree):
+    """The normalized atoms and original column norms of
+    :func:`build_bspline_dictionary`, as read-only arrays cached per
+    ``(n, d, degree)``. An infeasible request raises on every call,
+    since a raised call is not cached."""
     if d < degree + 1:
         raise ValueError(f"need d >= {degree + 1} to hold one spline grid")
     atoms = []
@@ -73,4 +95,6 @@ def build_bspline_dictionary(n, d, degree=3):
                 atoms.append(col)
         n_basis += 1
     D, _ = normalize_columns(np.column_stack(atoms))
-    return D
+    for a in (D.matrix, D.column_norms):
+        a.flags.writeable = False
+    return D.matrix, D.column_norms

@@ -317,7 +317,8 @@ def _gradient_factor_step(F, gram, mtt, mu, nonneg):
 
 def _data_array(data, model):
     """The data as a checked matrix or order-3 tensor whose constrained
-    modes have as many entries as their dictionaries have rows."""
+    modes have as many entries as their dictionaries have rows.
+    All-zero data, which has no sparse code to recover, is rejected."""
     Y = as_tensor3(data) if model.is_tensor else as_matrix(data, "data")
     for i, mode in enumerate((model.mode0, model.mode1)):
         if mode is not None and Y.shape[i] != mode.dictionary.shape[0]:
@@ -326,6 +327,9 @@ def _data_array(data, model):
                 f"entries in mode {i} (rows of the dictionary of shape "
                 f"{mode.dictionary.shape})"
             )
+    if not Y.any():
+        raise ValueError("data is all zero; a dictionary-constrained fit needs "
+                         "nonzero data")
     return Y
 
 
@@ -333,12 +337,8 @@ def _fit_data(data, model, init):
     """The mode-0 data matrix, the mode-1 and mode-2 unfoldings of a
     tensor (``None`` for a matrix) and checked copies of the starting
     factors in ``init``: "X" (d, r), "B" (m, r), and "C" (m2, r) and
-    "X1" (d1, r) where the model has them (``None`` where it does not).
-    All-zero data, which has no sparse code to recover, is rejected."""
+    "X1" (d1, r) where the model has them (``None`` where it does not)."""
     Y = _data_array(data, model)
-    if not Y.any():
-        raise ValueError("data is all zero; a dictionary-constrained fit needs "
-                         "nonzero data")
     r = model.rank
     shapes = {"X": (model.mode0.dictionary.n_atoms, r), "B": (Y.shape[1], r)}
     if model.is_tensor:
@@ -413,10 +413,17 @@ def _alternate(Ymat, Y2, Y3, B, C, coders, update, l_max, stop=None, cost_trace=
     is given and its rule holds for the last two costs. A coder update
     that reports a capped tuner adds a note; the last note is warned.
 
+    A factor B that comes out all zero, from the factor rule or from the
+    mode-1 codes, leaves mode 0 no mixing to code against and ends the
+    fit: with the note ``iteration l: factor B collapsed to zero`` and
+    the best of the ``l - 1`` iterates scored so far, or, when none was
+    scored, with a ``ValueError`` naming the factor.
+
     Returns the :class:`DlraReport` of the best iterate, with mode 0's
     ratio trace and the coders' inner iterations and tuner rounds.
     """
     cost_trace = [] if cost_trace is None else cost_trace
+    n_start = len(cost_trace)
     notes = []
     best = _BestIterate()
     if len(coders) > 1:
@@ -428,6 +435,12 @@ def _alternate(Ymat, Y2, Y3, B, C, coders, update, l_max, stop=None, cost_trace=
             if coders[1].update(Y2, MixingOperator(A, C)):
                 notes.append(f"iteration {l}: mode-1 tuner hit the round cap")
             B = coders[1].factor()
+        if not B.any():
+            if best.cost is None:
+                raise ValueError(f"factor B collapsed to zero at iteration {l}, "
+                                 "before any iterate was scored")
+            notes.append(f"iteration {l}: factor B collapsed to zero")
+            break
         op0 = MixingOperator(B, C)
         if coders[0].update(Ymat, op0):
             notes.append(f"iteration {l}: tuner hit the round cap")
@@ -439,7 +452,7 @@ def _alternate(Ymat, Y2, Y3, B, C, coders, update, l_max, stop=None, cost_trace=
     if notes:
         warnings.warn(notes[-1], RuntimeWarning)
     return best.report(
-        cost_trace, coders[0].alpha_trace, l, notes,
+        cost_trace, coders[0].alpha_trace, len(cost_trace) - n_start, notes,
         inner_iterations=sum(coder.inner_iterations for coder in coders),
         tuner_rounds=sum(coder.tuner_rounds for coder in coders),
     )
@@ -461,7 +474,8 @@ def ao_dlra(data, model, tuner=None, l_max=100, init=None, seed=0, stop=None):
     regularization ratios until every column has between ``k`` and
     ``k + tau`` nonzeros, (iii) refits the codes on the found support
     and (iv) keeps the best iterate seen. The cost trace may go up; the
-    best iterate never does.
+    best iterate never does. A factor B that comes out all zero ends the
+    fit (see :func:`_alternate`).
 
     Parameters
     ----------
@@ -515,7 +529,8 @@ def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
     construction rejects a factor gone non-finite, but not its spectrum,
     and scores the iterate with entries of magnitude at most
     ``SUPPORT_TOL`` zeroed. Support lists are built once, for the best
-    iterate returned. All-zero data is rejected.
+    iterate returned. All-zero data is rejected, and a factor B that
+    comes out all zero ends the fit (see :func:`_alternate`).
     """
     if mu > 1.0 or mu <= 0.0:
         raise ValueError("stepsize safeguard mu must lie in (0, 1]")
@@ -563,7 +578,8 @@ def init_by_lra(data, model, seed=0, lra_iters=100):
     First computes the plain low-rank approximation of the data (SVD or
     nonnegative HALS for matrices, alternating least squares for
     tensors), then sparse codes the columns of the leading factor with
-    OMP to produce columnwise k-sparse starting codes.
+    OMP to produce columnwise k-sparse starting codes. All-zero data is
+    rejected.
     """
     r = model.rank
     Y = _data_array(data, model)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .linalg import (
     _RIDGE_SCALE,
@@ -465,13 +464,15 @@ def _truncate_support(X, k):
 
 
 def _nnls_on_support(P, S, ridge):
-    """:func:`fixed_support_nnls` on the problem ``P``."""
+    """:func:`fixed_support_nnls` on the problem ``P``; ``scipy.optimize``
+    is imported on the first call."""
+    from scipy.optimize import nnls
 
     def solve(G, g):
         eff = max(ridge, _RIDGE_SCALE * np.trace(G) / G.shape[0])
         L = scipy.linalg.cholesky(G + eff * np.eye(G.shape[0]), lower=False)
         b = scipy.linalg.solve_triangular(L, g, trans="T", lower=False)
-        return scipy.optimize.nnls(L, b)[0]
+        return nnls(L, b)[0]
 
     return _solve_on_support(P, S, ridge, solve)
 

@@ -10,7 +10,6 @@ generator is a pure function of its seed.
 import warnings
 
 import numpy as np
-import scipy.optimize
 
 from .linalg import SparseCodes, normalize_columns
 from .solvers import StoppingRule, block_fista, mixed_fista
@@ -99,7 +98,8 @@ def support_recovery(S_est, S_true, match_columns=False):
 
     With ``match_columns`` the estimated columns are first assigned to
     the true columns by maximum support overlap (Hungarian assignment),
-    which removes the column permutation ambiguity of low-rank models.
+    which removes the column permutation ambiguity of low-rank models;
+    ``scipy.optimize`` is imported on the first such call.
     """
     if len(S_est) != len(S_true):
         raise ValueError("supports must have the same number of columns")
@@ -110,11 +110,13 @@ def support_recovery(S_est, S_true, match_columns=False):
     est = [np.asarray(s, dtype=int) for s in S_est]
     true = [np.asarray(s, dtype=int) for s in S_true]
     if match_columns:
+        from scipy.optimize import linear_sum_assignment
+
         overlap = np.zeros((r, r))
         for i in range(r):
             for j in range(r):
                 overlap[i, j] = len(np.intersect1d(est[i], true[j]))
-        rows, cols = scipy.optimize.linear_sum_assignment(-overlap)
+        rows, cols = linear_sum_assignment(-overlap)
         hits = overlap[rows, cols].sum()
     else:
         hits = sum(

@@ -118,6 +118,20 @@ def test_dlra_run_matrix_model(msc_files):
             assert codes.min() >= 0.0 and B.min() >= 0.0
 
 
+def test_dlra_run_dnmf_on_signed_data_names_the_collapsed_factor(msc_files):
+    """The projected-gradient B update clamps every entry of B to zero on
+    the signed data at iteration 1; the fit stops naming the factor."""
+    paths, tmp = msc_files
+    with pytest.raises(ValueError, match="^factor B collapsed to zero at iteration 1"):
+        dlra_main([
+            "run", "--model", "dnmf", "--data", str(paths["Y"]),
+            "--dict", str(paths["D"]), "--rank", "2", "--k", "2",
+            "--alpha", "0.001", "--tau", "5", "--iters", "10",
+            "--out", str(tmp / "fit"),
+        ])
+    assert not (tmp / "fit").exists()
+
+
 def test_dlra_run_tensor_model(tmp_path):
     """``dcpd`` with one constrained mode; ``nndcpd`` with a second one
     (``--dict2``/``--k2``) on nonnegative data."""

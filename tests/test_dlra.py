@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mscdlra.dlra import (
 )
 from mscdlra.linalg import normalize_columns
 from mscdlra.solvers import StoppingRule
-from mscdlra.synth import gen_codes
+from mscdlra.synth import gen_codes, gen_dictionary
 
 
 def gaussian_dictionary(n, d, seed):
@@ -421,12 +422,83 @@ class TestFitBoundary:
             else:
                 FITS[fit](T[:, :7], model, init)
 
-    @pytest.mark.parametrize("fit", FITS)
+    @pytest.mark.parametrize("fit", ["ao_dlra", "ipalm", "init_by_lra"])
     @pytest.mark.parametrize("case", [matrix_fit_case, two_mode_fit_case])
     def test_all_zero_data_names_the_data(self, fit, case):
         data, model, init = case()
         with pytest.raises(ValueError, match="^data is all zero"):
-            FITS[fit](np.zeros_like(data), model, init)
+            if fit == "init_by_lra":
+                init_by_lra(np.zeros_like(data), model)
+            else:
+                FITS[fit](np.zeros_like(data), model, init)
+
+
+def collapsing_at(l_collapse, rule):
+    """A factor rule that behaves as ``rule`` but returns zeros on its
+    ``l_collapse``-th call (one call per iteration on a matrix model)."""
+    calls = []
+
+    def update(F, *args):
+        calls.append(None)
+        return np.zeros_like(F) if len(calls) == l_collapse else rule(F, *args)
+
+    return update
+
+
+class TestCollapsedFactor:
+    """A factor B that comes out all zero ends the fit."""
+
+    def test_two_mode_coded_factor_collapse_names_the_factor(self):
+        """Two-mode nnCPD on negated nonnegative data: the mode-1 codes,
+        hence B, come out zero at iteration 1, before any iterate is
+        scored."""
+        D, D1 = gen_dictionary(10, 14, seed=4), gen_dictionary(8, 12, seed=10)
+        A = D.matrix @ gen_codes(14, 2, 2, seed=5, nonneg=True).values
+        B = D1.matrix @ gen_codes(12, 2, 2, seed=11, nonneg=True).values
+        C = np.random.default_rng(6).uniform(size=(7, 2))
+        T = -np.einsum("il,jl,kl->ijk", A, B, C)
+        model = DlraModel("nonneg_cpd", 2, ModeDictionary(D, 2, nonneg=True),
+                          ModeDictionary(D1, 2, nonneg=True))
+        with pytest.raises(ValueError, match="^factor B collapsed to zero at iteration 1, "
+                                             "before any iterate was scored"):
+            ao_dlra(T, model, l_max=5, seed=0)
+
+    @pytest.mark.parametrize("fit", ["ao_dlra", "ipalm"])
+    def test_later_collapse_keeps_the_best_iterate(self, fit, monkeypatch):
+        """B zeroed at iteration 3: the report is that of a 2-iteration run,
+        plus the warned note, which is not a tuner note."""
+        if fit == "ao_dlra":
+            Y, D, X, B = make_dmf_instance(n=10, m=9, d=14, r=2, k=2, seed=75)
+            model = DlraModel("nonneg_matrix_factorization", 2,
+                              ModeDictionary(D, 2, nonneg=True))
+            Y, name = np.abs(Y), "_projected_gradient_factor"
+        else:
+            Y, model, _ = matrix_fit_case()
+            name = "_gradient_factor_step"
+
+        def run(l_max):
+            if fit == "ao_dlra":
+                return ao_dlra(Y, model, l_max=l_max, seed=4)
+            return ipalm(Y, model, l_max=l_max, seed=4)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = run(2)
+        monkeypatch.setattr(dlra, name, collapsing_at(3, getattr(dlra, name)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = run(10)
+        note = "iteration 3: factor B collapsed to zero"
+        assert got.notes[-1] == note
+        assert str(caught[-1].message) == note
+        assert caught[-1].category is RuntimeWarning
+        assert got.iterations == want.iterations == 2
+        assert got.notes[:-1] == want.notes
+        np.testing.assert_array_equal(got.cost_trace, want.cost_trace)
+        assert got.best_cost == want.best_cost == min(got.cost_trace[-2:])
+        np.testing.assert_array_equal(got.best_codes[0].values, want.best_codes[0].values)
+        np.testing.assert_array_equal(got.best_factors["B"], want.best_factors["B"])
+        assert got.best_factors["B"].any()
 
 
 class TestInitByLra:

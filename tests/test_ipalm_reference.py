@@ -128,11 +128,11 @@ MODELS = [
 
 
 @st.composite
-def ipalm_problems(draw):
-    """A model of one of ``MODELS`` with random shapes, sparsities and
-    data, and a start from :func:`random_init`. At the small scale the
-    data and the starting codes straddle ``SUPPORT_TOL``."""
-    kind, two_mode = draw(st.sampled_from(MODELS))
+def ipalm_problems(draw, kind, two_mode):
+    """A model of ``kind`` (with a second constrained mode when
+    ``two_mode``) with random shapes, sparsities and data, and a start
+    from :func:`random_init`. At the small scale the data and the
+    starting codes straddle ``SUPPORT_TOL``."""
     n, m, m2 = draw(st.integers(3, 9)), draw(st.integers(2, 8)), draw(st.integers(2, 4))
     d, r = draw(st.integers(2, 12)), draw(st.integers(1, 3))
     k = draw(st.integers(1, d))
@@ -160,13 +160,14 @@ def ipalm_problems(draw):
     return data * scale, model, init
 
 
-@settings(max_examples=80)
+@pytest.mark.parametrize("kind, two_mode", MODELS)
+@settings(max_examples=16)
 @given(
-    ipalm_problems(), st.integers(1, 60), st.sampled_from([0.5, 1.0]),
-    st.sampled_from([1e-8, 1e-3]),
+    case=st.data(), l_max=st.integers(1, 60), mu=st.sampled_from([0.5, 1.0]),
+    rel_tol=st.sampled_from([1e-8, 1e-3]),
 )
-def test_ipalm_matches_frozen_loop(problem, l_max, mu, rel_tol):
-    data, model, init = problem
+def test_ipalm_matches_frozen_loop(kind, two_mode, case, l_max, mu, rel_tol):
+    data, model, init = case.draw(ipalm_problems(kind, two_mode))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         best, trace, iterations = reference_ipalm(data, model, l_max, mu, init, rel_tol)
