@@ -213,8 +213,9 @@ def _dlra_run(args):
 
 def _dlra_complete(args):
     Y = read_matrix_csv(args.data)
-    D = normalize_columns(read_matrix_csv(args.dict_path))[0]
-    missing = read_index_file(args.mask)
+    D = _load_dictionary(args.dict_path)
+    # the fit returns one row per distinct index, in increasing order
+    missing = np.unique(read_index_file(args.mask))
     obs = np.setdiff1d(np.arange(Y.shape[0]), missing)
     Y_missing, rep = complete_missing_rows(
         Y[obs], D, missing, rank=args.rank, k=args.k, alpha=args.alpha,

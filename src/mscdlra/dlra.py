@@ -618,7 +618,9 @@ def complete_missing_rows(Y_obs, D, missing_rows, rank, k, alpha=5e-3, tau=20,
 
     Returns
     -------
-    Y_missing : ndarray, shape (len(missing_rows), m)
+    Y_missing : ndarray, shape (len(np.unique(missing_rows)), m)
+        One rebuilt row per distinct index of ``missing_rows``, in
+        increasing index order, whatever the order or repeats given.
     report : DlraReport
         Report of the winning run; its ``best_cost`` is the
         observed-row residual only.

@@ -5,9 +5,10 @@ protocol over per-instance RNG streams derived from the master seed,
 and produces a :class:`ResultTable`. :data:`PROTOCOLS` maps each test
 name to its protocol: its defaults, its cell builder, its cell function
 and the strategies it can run. Cells (instance x parameter point)
-are independent, so they may run in parallel; rows are merged by a
-deterministic sort key and the deterministic columns are written to
-``results.csv`` while wall-clock timings go to ``timings.csv``.
+are independent, so they may run in parallel. :func:`_execute_cell`
+times each strategy call of a cell alone and makes its rows; rows are
+merged by a deterministic sort key and the deterministic columns are
+written to ``results.csv`` while wall-clock timings go to ``timings.csv``.
 """
 
 import dataclasses
@@ -127,6 +128,8 @@ class ExperimentConfig:
         elif not (isinstance(self.alpha, numbers.Real) and math.isfinite(self.alpha)):
             raise ValueError(
                 f"alpha must be 'auto' or a finite number, got {self.alpha!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def default_config(test_name, **overrides):
@@ -138,10 +141,9 @@ def default_config(test_name, **overrides):
     return ExperimentConfig(test_name=test_name, **{**defaults, **overrides})
 
 
-RESULT_COLUMNS = (
-    "test", "param", "solver", "instance_seed", "init_seed",
-    "recovery_pct", "rel_error", "iterations",
-)
+# a row's key: rows sort by it and ``timings.csv`` joins ``results.csv`` on it
+ROW_KEY = ("test", "param", "solver", "instance_seed", "init_seed")
+RESULT_COLUMNS = (*ROW_KEY, "recovery_pct", "rel_error", "iterations")
 
 
 class ResultTable:
@@ -154,10 +156,7 @@ class ResultTable:
         self.rows.extend(rows)
 
     def sort(self):
-        self.rows.sort(
-            key=lambda r: (r["test"], r["param"], r["solver"],
-                           r["instance_seed"], r["init_seed"])
-        )
+        self.rows.sort(key=lambda r: tuple(r[c] for c in ROW_KEY))
 
     def column(self, name, **filters):
         out = []
@@ -175,21 +174,20 @@ class ResultTable:
             return f"{value:.10g}"
         return str(value)
 
+    def _line(self, row, columns):
+        return ",".join(self._fmt(row[c]) for c in columns)
+
     def write(self, out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
         self.sort()
         with open(out_dir / "results.csv", "w") as fh:
             fh.write(",".join(RESULT_COLUMNS) + "\n")
             for row in self.rows:
-                fh.write(",".join(self._fmt(row[c]) for c in RESULT_COLUMNS) + "\n")
+                fh.write(self._line(row, RESULT_COLUMNS) + "\n")
         with open(out_dir / "timings.csv", "w") as fh:
-            fh.write("test,param,solver,instance_seed,init_seed,wall_time\n")
+            fh.write(",".join(ROW_KEY) + ",wall_time\n")
             for row in self.rows:
-                key = ",".join(
-                    self._fmt(row[c])
-                    for c in ("test", "param", "solver", "instance_seed", "init_seed")
-                )
-                fh.write(f"{key},{row['wall_time']:.6f}\n")
+                fh.write(f"{self._line(row, ROW_KEY)},{row['wall_time']:.6f}\n")
 
 
 def _write_meta(out_dir, config, alphas):
@@ -204,19 +202,21 @@ def _write_meta(out_dir, config, alphas):
             fh.write(f"alpha_resolved.{key}={a}\n")
 
 
-def _row(config, param, solver, instance_seed, init_seed, recovery, err,
-         iterations, wall):
-    return {
-        "test": config.test_name,
-        "param": param,
-        "solver": solver,
-        "instance_seed": instance_seed,
-        "init_seed": init_seed,
-        "recovery_pct": recovery,
-        "rel_error": err,
-        "iterations": iterations,
-        "wall_time": wall,
-    }
+class Trial(NamedTuple):
+    """One cell's instance, built once for all its strategies.
+
+    ``call(name)`` runs strategy ``name`` on the instance; it is the only
+    part of a row that :func:`_execute_cell` times. ``score(out)`` turns the
+    output of one call into that row's ``recovery_pct``, ``rel_error`` and
+    ``iterations`` (plus ``sam`` for ``completion``), as a dict. ``param``,
+    ``instance_seed`` and ``init_seed`` complete the row's key.
+    """
+
+    param: str
+    instance_seed: int
+    init_seed: int
+    call: Callable
+    score: Callable
 
 
 class MscStrategy(NamedTuple):
@@ -331,7 +331,7 @@ def _alpha_cells(config):
 
 
 def _msc_cell(config, cell, strategies):
-    """One MSC instance solved by every strategy of the config."""
+    """One MSC instance, solved from the cell's start."""
     point = {f: cell.get(f, getattr(config, f)) for f in _MSC_FIELDS}
     seed, init_seed, d = cell["instance_seed"], cell.get("init_seed", 0), point["d"]
     inst = gen_msc_instance(r=config.r, seed=seed,
@@ -342,18 +342,17 @@ def _msc_cell(config, cell, strategies):
     elif init_seed > 0:
         X0 = np.random.default_rng(init_seed).standard_normal((d, config.r))
     stop = StoppingRule(rel_tol=config.stop_rel_tol, max_iter=config.stop_max_iter)
-    rows = []
-    for name in config.solvers:
-        t0 = time.perf_counter()
-        rep = strategies[name].run(inst["Y"], inst["D"], inst["B"], point["k"],
-                                   cell["alphas"].get(name, 0.0), X0=X0, stop=stop)
-        wall = time.perf_counter() - t0
-        rows.append(_row(
-            config, cell["param"], name, seed, init_seed,
-            support_recovery(rep.codes.support, inst["X"].support),
-            rel_error(inst["X"].values, rep.codes.values), rep.iterations, wall,
-        ))
-    return rows
+
+    def call(name):
+        return strategies[name].run(inst["Y"], inst["D"], inst["B"], point["k"],
+                                    cell["alphas"].get(name, 0.0), X0=X0, stop=stop)
+
+    def score(rep):
+        return dict(recovery_pct=support_recovery(rep.codes.support, inst["X"].support),
+                    rel_error=rel_error(inst["X"].values, rep.codes.values),
+                    iterations=rep.iterations)
+
+    return Trial(cell["param"], seed, init_seed, call, score)
 
 
 def _instance_cells(config):
@@ -430,21 +429,17 @@ _DCPD_STRATEGIES = {
 
 
 def _dlra_synth_cell(config, cell, strategies):
-    seed = cell["instance_seed"]
-    run = _DlraSynthRun(config, seed)
-    rows = []
-    for strategy in config.solvers:
-        t0 = time.perf_counter()
-        X, support, iterations, B, C = strategies[strategy](run)
-        wall = time.perf_counter() - t0
+    run = _DlraSynthRun(config, cell["instance_seed"])
+
+    def score(fit):
+        X, support, iterations, B, C = fit
         A = run.inst["D"].matrix @ X
         recon = A @ B.T if C is None else np.einsum("il,jl,kl->ijk", A, B, C)
-        rows.append(_row(
-            config, "default", strategy, seed, 0,
-            support_recovery(support, run.inst["X"].support, match_columns=True),
-            rel_error(run.inst["Y_clean"], recon), iterations, wall,
-        ))
-    return rows
+        return dict(recovery_pct=support_recovery(support, run.inst["X"].support,
+                                                  match_columns=True),
+                    rel_error=rel_error(run.inst["Y_clean"], recon), iterations=iterations)
+
+    return Trial("default", run.seed, 0, lambda name: strategies[name](run), score)
 
 
 def gen_completion_instance(h, w, m, r, k, seed, snr_db=float("inf")):
@@ -500,18 +495,14 @@ def _completion_cell(config, cell, strategies):
     missing = np.sort(rng.choice(n, size=n_missing, replace=False))
     obs = np.setdiff1d(np.arange(n), missing)
     truth = inst["Y_clean"][missing]
-    rows = []
-    param = f"missing={config.missing_frac:g};k={config.k}"
-    for strategy in config.solvers:
-        t0 = time.perf_counter()
-        Y_missing, iterations = strategies[strategy](config, inst, obs, missing, seed)
-        wall = time.perf_counter() - t0
-        rows.append(_row(
-            config, param, strategy, seed, 0,
-            0.0, rel_error(truth, Y_missing), iterations, wall,
-        ))
-        rows[-1]["sam"] = sam(truth, Y_missing)
-    return rows
+
+    def score(out):
+        Y_missing, iterations = out
+        return dict(recovery_pct=0.0, rel_error=rel_error(truth, Y_missing),
+                    iterations=iterations, sam=sam(truth, Y_missing))
+
+    return Trial(f"missing={config.missing_frac:g};k={config.k}", seed, 0,
+                 lambda name: strategies[name](config, inst, obs, missing, seed), score)
 
 
 def gen_denoise_instance(config, seed):
@@ -574,16 +565,14 @@ def _denoise_cell(config, cell, strategies):
     inst = gen_denoise_instance(config, seed)
     factors, trace = cpd_als(inst["T"], config.r, iters=100, nonneg=True,
                              seed=derive_seed(seed, 4))
-    rows = []
-    for strategy in config.solvers:
-        t0 = time.perf_counter()
-        recon, iterations = strategies[strategy](config, inst, factors, trace)
-        rows.append(_row(
-            config, f"k={config.k}", strategy, seed, 0,
-            0.0, rel_error(inst["T_clean"], recon), iterations,
-            time.perf_counter() - t0,
-        ))
-    return rows
+
+    def score(out):
+        recon, iterations = out
+        return dict(recovery_pct=0.0, rel_error=rel_error(inst["T_clean"], recon),
+                    iterations=iterations)
+
+    return Trial(f"k={config.k}", seed, 0,
+                 lambda name: strategies[name](config, inst, factors, trace), score)
 
 
 class Protocol(NamedTuple):
@@ -591,8 +580,9 @@ class Protocol(NamedTuple):
     the ratios tuned once for the whole run, which ``run_meta.txt`` records;
     ``defaults`` override those of :class:`ExperimentConfig`. Cells hold no
     callables, so they pickle for workers: ``run_cell(config, cell,
-    strategies)`` returns one row per name in ``config.solvers``, run by
-    that name's entry in ``strategies``."""
+    strategies)`` builds the cell's instance and returns its :class:`Trial`,
+    whose ``call(name)`` runs that name's entry in ``strategies``. Rows
+    are made only by :func:`_execute_cell`."""
 
     build_cells: Callable
     defaults: dict = {}
@@ -637,10 +627,24 @@ TEST_NAMES = tuple(PROTOCOLS)
 
 
 def _execute_cell(args):
-    # module level so cells can cross process boundaries
+    """Rows of one cell, one per name in ``config.solvers``, in that order.
+
+    The cell's instance is built once by its protocol's ``run_cell``. Each
+    row's ``wall_time`` covers the strategy's ``call`` alone: building the
+    instance and scoring the output are outside the timed part. Module
+    level, so ``(config, cell)`` can cross process boundaries.
+    """
     config, cell = args
     protocol = PROTOCOLS[config.test_name]
-    return protocol.run_cell(config, cell, protocol.strategies)
+    trial = protocol.run_cell(config, cell, protocol.strategies)
+    rows = []
+    for name in config.solvers:
+        t0 = time.perf_counter()
+        out = trial.call(name)
+        wall = time.perf_counter() - t0
+        key = (config.test_name, trial.param, name, trial.instance_seed, trial.init_seed)
+        rows.append({**dict(zip(ROW_KEY, key)), **trial.score(out), "wall_time": wall})
+    return rows
 
 
 def run_experiment(config, jobs=1, out_dir=None):

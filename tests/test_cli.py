@@ -201,6 +201,37 @@ def test_dlra_complete(tmp_path):
     assert missing.shape == (2, 9)
 
 
+@pytest.fixture
+def completion_files(tmp_path):
+    D = gen_dictionary(30, 20, seed=3)
+    X = gen_codes(20, 2, 3, seed=4)
+    B = np.random.default_rng(5).standard_normal((12, 2))
+    write_matrix_csv(tmp_path / "Y.csv", D.matrix @ X.values @ B.T)
+    write_matrix_csv(tmp_path / "D.csv", D.matrix)
+    return tmp_path
+
+
+def _complete_with_mask(tmp, mask_text):
+    """Output files of ``dlra complete`` with the mask file ``mask_text``."""
+    out = tmp / f"comp_{'_'.join(mask_text.split())}"
+    mask = tmp / f"{out.name}.txt"
+    mask.write_text(mask_text)
+    rc = dlra_main([
+        "complete", "--data", str(tmp / "Y.csv"), "--mask", str(mask),
+        "--dict", str(tmp / "D.csv"), "--rank", "2", "--k", "3",
+        "--iters", "30", "--out", str(out),
+    ])
+    assert rc == 0
+    return {name: (out / name).read_bytes()
+            for name in ("completed.csv", "missing_rows.csv")}
+
+
+@pytest.mark.parametrize("mask_text", ["25 2", "2 2 25", "25\n2\n25\n2\n"])
+def test_dlra_complete_mask_order_and_repeats_ignored(completion_files, mask_text):
+    sorted_mask = _complete_with_mask(completion_files, "2 25")
+    assert _complete_with_mask(completion_files, mask_text) == sorted_mask
+
+
 def test_msc_bench_rejects_unknown_test():
     with pytest.raises(SystemExit):
         msc_main(["bench", "nonsense", "--out", "/tmp/x"])

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,17 @@ TINY = {
                        n_inits=2, l_max=15),
     "denoise": dict(n=40, m1=20, m2=4, d=24, d2=14, k=3, k2=3, r=2,
                     n_instances=1, l_max=6),
+}
+
+
+# one tiny protocol per kind of cell, two rows each
+TIMED = {
+    "noise_sweep": dict(TINY["noise_sweep"], n_instances=1, snr_grid=(20.0,),
+                        solvers=("trick_omp", "iht")),
+    "dmf_synth": dict(TINY["dmf_synth"], n_instances=1,
+                      solvers=("ao_random", "ipalm_random")),
+    "completion": dict(TINY["completion"], n_instances=1),
+    "denoise": dict(TINY["denoise"], solvers=("hals", "ao_nndcpd_2")),
 }
 
 
@@ -94,12 +107,15 @@ class TestProtocolTable:
         cfg = default_config(name, solvers=tuple(MSC_STRATEGIES))
         assert "block_fista_nn" in cfg.solvers
 
-    @pytest.mark.parametrize("name", TEST_NAMES)
-    def test_misspelled_solver_rejected_before_any_cell(self, name, monkeypatch):
+    @pytest.fixture
+    def no_cell_runs(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a cell ran")
 
         monkeypatch.setattr("mscdlra.experiments._execute_cell", refuse)
+
+    @pytest.mark.parametrize("name", TEST_NAMES)
+    def test_misspelled_solver_rejected_before_any_cell(self, name, no_cell_runs):
         valid = tuple(PROTOCOLS[name].strategies)
         with pytest.raises(ValueError, match="must name at least one of") as exc:
             run_experiment(default_config(name, solvers=(valid[0], valid[0] + "x")))
@@ -130,6 +146,11 @@ class TestProtocolTable:
     def test_alpha_neither_auto_nor_finite_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha must be"):
             default_config("noise_sweep", alpha=alpha)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_bad_seed_rejected_before_any_cell(self, seed, no_cell_runs):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            run_experiment(tiny_noise_config(seed=seed))
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):
@@ -180,6 +201,30 @@ class TestRowContracts:
         assert (tmp_path / "serial" / "results.csv").read_bytes() == (
             tmp_path / "pool" / "results.csv"
         ).read_bytes()
+
+
+class TestTiming:
+    SLEEP = 1.0
+
+    @pytest.mark.parametrize("name", list(TIMED))
+    def test_wall_time_covers_the_strategy_call_alone(self, name, tmp_path,
+                                                      monkeypatch):
+        from mscdlra import experiments
+
+        def slow_rel_error(*args, **kwargs):
+            time.sleep(self.SLEEP)
+            return rel_error(*args, **kwargs)
+
+        rel_error = experiments.rel_error
+        monkeypatch.setattr(experiments, "rel_error", slow_rel_error)
+        table = run_experiment(default_config(name, **TIMED[name]), out_dir=tmp_path)
+        assert len(table.rows) == 2
+        assert all(row["wall_time"] < self.SLEEP for row in table.rows)
+        keys = {}
+        for csv in ("results.csv", "timings.csv"):
+            lines = (tmp_path / csv).read_text().splitlines()
+            keys[csv] = [line.split(",")[:5] for line in lines]
+        assert keys["results.csv"] == keys["timings.csv"]
 
 
 class TestStatisticalDirections:
