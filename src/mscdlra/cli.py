@@ -63,6 +63,17 @@ def _read_value(key, kind, text):
     raise ValueError(f"config key {key!r}: {text!r} does not read as {name}")
 
 
+def _at_least(low):
+    """An argparse type: an integer no smaller than ``low``, so that a
+    smaller value is a usage error naming its flag."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _load_dictionary(path):
     return normalize_columns(read_matrix_csv(path))[0]
 
@@ -78,9 +89,9 @@ def msc_main(argv=None):
     p_bench.add_argument("test_name", choices=TEST_NAMES)
     p_bench.add_argument("--config", type=Path, help="key=value config file")
     p_bench.add_argument("--out", type=Path, required=True)
-    p_bench.add_argument("--seed", type=int, default=None,
+    p_bench.add_argument("--seed", type=_at_least(0), default=None,
                          help="master seed; overrides the config file's seed")
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--jobs", type=_at_least(1), default=1)
 
     p_solve = sub.add_parser("solve", help="solve one problem from files")
     p_solve.add_argument("--data", type=Path, required=True)
@@ -93,14 +104,16 @@ def msc_main(argv=None):
 
     args = parser.parse_args(argv)
     if args.command == "bench":
-        if args.jobs < 1:
-            p_bench.error(f"argument --jobs: must be at least 1, got {args.jobs}")
         overrides = {}
-        if args.config:
-            overrides = _parse_config_file(args.config, args.test_name)
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        config = default_config(args.test_name, **overrides)
+        try:
+            if args.config:
+                overrides = _parse_config_file(args.config, args.test_name)
+            if args.seed is not None:
+                overrides["seed"] = args.seed
+            config = default_config(args.test_name, **overrides)
+        except ValueError as exc:
+            # a bad configuration is a usage error, like a bad flag
+            p_bench.error(str(exc))
         run_experiment(config, jobs=args.jobs, out_dir=args.out)
         print(f"wrote {args.out / 'results.csv'}")
         return 0
@@ -152,7 +165,7 @@ def dlra_main(argv=None):
     p_run.add_argument("--alpha", type=float, default=1e-2)
     p_run.add_argument("--tau", type=int, default=20)
     p_run.add_argument("--iters", type=int, default=100)
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=_at_least(0), default=0)
     p_run.add_argument("--out", type=Path, required=True)
 
     p_comp = sub.add_parser("complete", help="reconstruct missing rows")
@@ -167,11 +180,13 @@ def dlra_main(argv=None):
     p_comp.add_argument("--tau", type=int, default=20)
     p_comp.add_argument("--iters", type=int, default=100)
     p_comp.add_argument("--inits", type=int, default=1)
-    p_comp.add_argument("--seed", type=int, default=0)
+    p_comp.add_argument("--seed", type=_at_least(0), default=0)
     p_comp.add_argument("--out", type=Path, required=True)
 
     args = parser.parse_args(argv)
     if args.command == "run":
+        if args.dict2 is not None and args.k2 is None:
+            p_run.error("--dict2 requires --k2")
         return _dlra_run(args)
     return _dlra_complete(args)
 
@@ -188,8 +203,6 @@ def _dlra_run(args):
     D = _load_dictionary(args.dict_path)
     mode1 = None
     if args.dict2 is not None:
-        if args.k2 is None:
-            raise SystemExit("--dict2 requires --k2")
         mode1 = ModeDictionary(_load_dictionary(args.dict2), args.k2, nonneg=nonneg)
     model = DlraModel(kind, args.rank, ModeDictionary(D, args.k, nonneg=nonneg),
                       mode1)

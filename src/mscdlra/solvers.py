@@ -15,10 +15,12 @@ Khatri-Rao structured). Five heuristic families are provided:
 * :func:`mixed_fista` -- the same scheme for the max-of-column-l1 relaxation.
 
 All solvers are deterministic, never mutate their inputs, and report the
-estimated codes together with a cost trace. Each rejects a dictionary
-whose columns are not unit norm, naming the column furthest from it.
-Each validates its arguments once into a :class:`mscdlra.linalg._Problem`
-and forms the d x d atom Gram ``D^T D`` once per call (8 d^2 bytes).
+estimated codes together with a cost trace. Each enters through
+:func:`_solve`, which validates the arguments once into a
+:class:`mscdlra.linalg._Problem`, rejects a dictionary whose columns are
+not unit norm (naming the column furthest from it) and a ``k`` outside
+``[1, d]``, and times the run into the one :class:`SolverReport`. The
+d x d atom Gram ``D^T D`` is formed once per call (8 d^2 bytes).
 """
 
 import itertools
@@ -211,17 +213,12 @@ def trick_omp(Y, D, B, k, ridge=0.0):
     on the union support with :func:`fixed_support_ls`. Valid exactly in
     the small-residual regime where the projection preserves supports.
     """
-    t0 = time.perf_counter()
-    P = _Problem(Y, D, B)
-    codes = _trick_omp_codes(P, k, ridge)
-    cost = residual_cost(P.Y, P.D, codes, P.op)
-    return SolverReport(
-        codes=codes,
-        cost_trace=[cost],
-        iterations=k,
-        termination="tolerance",
-        wall_time=time.perf_counter() - t0,
-    )
+
+    def run(P):
+        codes = _trick_omp_codes(P, k, ridge)
+        return codes, [residual_cost(P.Y, P.D, codes, P.op)], k, "tolerance"
+
+    return _solve(Y, D, B, k, run)
 
 
 def check_reduction_bound(D, B, k, delta, epsilon):
@@ -257,6 +254,23 @@ def check_reduction_bound(D, B, k, delta, epsilon):
 def _check_sparsity(k, d):
     if not 1 <= k <= d:
         raise ValueError(f"sparsity level k={k} must lie in [1, {d}]")
+
+
+def _solve(Y, D, B, k, run):
+    """Front door of the five heuristics: check, run, time and report.
+
+    Validates ``Y``, ``D`` and ``B`` into a :class:`mscdlra.linalg._Problem`
+    ``P``, then checks the unit-norm atoms and ``k`` in ``[1, d]``; the
+    solver's own arguments are checked by ``run(P)`` after these. ``run``
+    returns the codes, the cost trace, the iteration count and the
+    termination reason. The wall time covers the checks and the run.
+    """
+    t0 = time.perf_counter()
+    P = _Problem(Y, D, B)
+    _require_unit_columns(P.D)
+    _check_sparsity(k, P.d)
+    codes, trace, iterations, termination = run(P)
+    return SolverReport(codes, trace, iterations, termination, time.perf_counter() - t0)
 
 
 def _stepsize(Dm, op, sigma_d_sq=None):
@@ -313,11 +327,16 @@ def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
     an all-zero one) is a plain start: the sweeps run from it and no
     candidate is offered.
     """
-    t0 = time.perf_counter()
-    P = _Problem(Y, D, B)
-    _require_unit_columns(P.D)
-    _check_sparsity(k, P.d)
-    stop = stop or StoppingRule()
+    return _solve(
+        Y, D, B, k, lambda P: _homp_run(P, k, X0, stop or StoppingRule(), ridge)
+    )
+
+
+def _homp_run(P, k, X0, stop, ridge):
+    """The sweeps and final refit of :func:`homp` on the problem ``P``,
+    from ``X0`` (``None`` for the zero start with the greedy candidate);
+    returns the codes, the trace (start cost, one cost per sweep and the
+    refit cost), the sweep count and the termination reason."""
     n, r, U, G, M = P.D.shape[0], P.r, P.U, P.G, P.M
     X = P.start(X0)
     offer_greedy = X0 is None and r > 1 and not P.op.rank_deficient and k <= n
@@ -377,13 +396,7 @@ def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
         # numerically tied refit; keep the sweep iterate
         codes, final = SparseCodes.from_values(X), cost
     trace.append(final)
-    return SolverReport(
-        codes=codes,
-        cost_trace=trace,
-        iterations=iterations,
-        termination=termination,
-        wall_time=time.perf_counter() - t0,
-    )
+    return codes, trace, iterations, termination
 
 
 def lambda_max_block(Y, D, B):
@@ -536,29 +549,23 @@ def _alpha_vector(alpha, r):
 def _proximal_solve(Y, D, B, k, X0, stop, ridge, nonneg, prox_objective):
     """Body shared by :func:`iht`, :func:`block_fista` and :func:`mixed_fista`.
 
-    ``prox_objective(P, eta)`` validates the solver's own parameters and
-    returns the prox and the traced objective for the problem ``P`` and
-    the stepsize. The top-``k`` support of the last iterate is refit by
+    After the checks of :func:`_solve`, ``prox_objective(P, eta)``
+    validates the solver's own parameters and returns the prox and the
+    traced objective for the problem ``P`` and the stepsize. The top-``k``
+    support of the last iterate of :func:`_fista_core` is refit by
     :func:`debias` (nonnegative when ``nonneg``).
     """
-    t0 = time.perf_counter()
-    P = _Problem(Y, D, B)
-    _require_unit_columns(P.D)
-    stop = stop or StoppingRule()
-    _check_sparsity(k, P.d)
-    eta = _stepsize(P.D, P.op)
-    prox, objective = prox_objective(P, eta)
-    X, _, trace, iterations, termination = _fista_core(
-        P, prox, objective, P.start(X0), eta, stop
-    )
-    codes = _debias(P, _truncate_support(X, k), k, nonneg, ridge)
-    return SolverReport(
-        codes=codes,
-        cost_trace=trace,
-        iterations=iterations,
-        termination=termination,
-        wall_time=time.perf_counter() - t0,
-    )
+
+    def run(P):
+        eta = _stepsize(P.D, P.op)
+        prox, objective = prox_objective(P, eta)
+        X, _, trace, iterations, termination = _fista_core(
+            P, prox, objective, P.start(X0), eta, stop or StoppingRule()
+        )
+        codes = _debias(P, _truncate_support(X, k), k, nonneg, ridge)
+        return codes, trace, iterations, termination
+
+    return _solve(Y, D, B, k, run)
 
 
 def block_fista(Y, D, B, alpha, k, X0=None, stop=None, nonneg=False, ridge=0.0):

@@ -252,11 +252,13 @@ def test_runtime_sweep_config_with_pair_grids(tmp_path):
     assert len(lines) == 1 + 2
 
 
-def test_bad_config_key_rejected(tmp_path):
+def test_bad_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("warp_factor=9\n")
-    with pytest.raises(ValueError, match="unknown config key"):
+    with pytest.raises(SystemExit) as exc:
         msc_main(["bench", "noise_sweep", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unknown config key" in capsys.readouterr().err
 
 
 def _config_text(value):
@@ -310,12 +312,14 @@ def test_config_test_name_must_match_the_protocol(tmp_path):
         _parse_config_file(path, "dmf_synth")
 
 
-def test_config_alpha_bogus_rejected(tmp_path):
+def test_config_alpha_bogus_rejected(tmp_path, capsys):
     path = tmp_path / "alpha.cfg"
     path.write_text("alpha=bogus\n")
-    with pytest.raises(ValueError, match="alpha"):
+    with pytest.raises(SystemExit) as exc:
         msc_main(["bench", "noise_sweep", "--config", str(path),
                   "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "alpha" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -327,3 +331,36 @@ def test_msc_bench_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert exc.value.code == 2
     assert "argument --jobs" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["msc bench", "dlra run", "dlra complete"])
+def test_negative_seed_is_a_usage_error(msc_files, capsys, command):
+    paths, tmp = msc_files
+    mask = tmp / "mask.txt"
+    mask.write_text("3\n")
+    main, argv = {
+        "msc bench": (msc_main, ["bench", "noise_sweep"]),
+        "dlra run": (dlra_main, ["run", "--model", "dmf", "--data", str(paths["Y"]),
+                                 "--dict", str(paths["D"]), "--rank", "2",
+                                 "--k", "2"]),
+        "dlra complete": (dlra_main, ["complete", "--data", str(paths["Y"]),
+                                      "--mask", str(mask),
+                                      "--dict", str(paths["D"]), "--rank", "2",
+                                      "--k", "2"]),
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1", "--out", str(tmp / "out")])
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert not (tmp / "out").exists()
+
+
+def test_dlra_run_dict2_without_k2_is_a_usage_error(msc_files, capsys):
+    paths, tmp = msc_files
+    with pytest.raises(SystemExit) as exc:
+        dlra_main(["run", "--model", "nndcpd", "--data", str(paths["Y"]),
+                   "--dict", str(paths["D"]), "--dict2", str(paths["D"]),
+                   "--rank", "2", "--k", "2", "--out", str(tmp / "out")])
+    assert exc.value.code == 2
+    assert "--dict2 requires --k2" in capsys.readouterr().err
+    assert not (tmp / "out").exists()

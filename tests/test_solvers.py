@@ -555,11 +555,12 @@ def test_stopping_rule_validation():
 
 
 @pytest.mark.parametrize("solve", [
+    lambda Y, D, B, k: trick_omp(Y, D, B, k),
     lambda Y, D, B, k: iht(Y, D, B, k),
     lambda Y, D, B, k: block_fista(Y, D, B, 0.1, k),
     lambda Y, D, B, k: mixed_fista(Y, D, B, 0.1, k),
     lambda Y, D, B, k: homp(Y, D, B, k),
-], ids=["iht", "block_fista", "mixed_fista", "homp"])
+], ids=["trick_omp", "iht", "block_fista", "mixed_fista", "homp"])
 @pytest.mark.parametrize("k", [0, 19, 40])
 def test_sparsity_outside_dictionary_size_rejected(solve, k):
     inst = gen_msc_instance(
@@ -567,6 +568,35 @@ def test_sparsity_outside_dictionary_size_rejected(solve, k):
     )
     with pytest.raises(ValueError, match=rf"k={k} must lie in \[1, 18\]"):
         solve(inst["Y"], inst["D"], inst["B"], k)
+
+
+@pytest.mark.parametrize("solver", [
+    "trick_omp", "iht", "homp", "block_fista", "mixed_fista",
+])
+def test_report_shape(solver):
+    """Every heuristic reports through one front door: the trace holds the
+    start objective and one entry per iteration (plus homp's final refit),
+    except trick_omp, which reports its k greedy steps and one final cost."""
+    inst = gen_msc_instance(
+        n=12, m=10, d=18, k=2, r=3, snr_db=20.0, cond_b=10.0, seed=13
+    )
+    Y, D, B, k = inst["Y"], inst["D"], inst["B"], 2
+    rep = {
+        "trick_omp": lambda: trick_omp(Y, D, B, k),
+        "iht": lambda: iht(Y, D, B, k),
+        "homp": lambda: homp(Y, D, B, k),
+        "block_fista": lambda: block_fista(Y, D, B, 0.01, k),
+        "mixed_fista": lambda: mixed_fista(Y, D, B, 0.01, k),
+    }[solver]()
+    if solver == "trick_omp":
+        assert rep.iterations == k
+        assert rep.cost_trace == [residual_cost(Y, D, rep.codes, B)]
+    elif solver == "homp":
+        assert len(rep.cost_trace) == rep.iterations + 2
+    else:
+        assert len(rep.cost_trace) == rep.iterations + 1
+    assert rep.termination in ("tolerance", "max_iter", "restart_all_columns")
+    assert rep.wall_time > 0
 
 
 @pytest.mark.parametrize("solve", [
