@@ -111,6 +111,8 @@ def msc_main(argv=None):
             if args.seed is not None:
                 overrides["seed"] = args.seed
             config = default_config(args.test_name, **overrides)
+        except OSError as exc:
+            p_bench.error(f"argument --config: cannot read {args.config}: {exc.strerror}")
         except ValueError as exc:
             # a bad configuration is a usage error, like a bad flag
             p_bench.error(str(exc))

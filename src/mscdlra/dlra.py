@@ -29,6 +29,7 @@ from .linalg import (
     _residual_cost,
     as_matrix,
     dict_matrix,
+    normalize_columns,
     spectral_norm_sq,
     support_from_values,
 )
@@ -40,6 +41,7 @@ from .solvers import (
     _debias,
     _fista_core,
     _l1_prox_penalty,
+    _lambda_max,
     _omp_columns,
     _penalized_objective,
     _stepsize,
@@ -147,22 +149,18 @@ class DlraReport:
 def random_init(data, model, seed):
     """Random starting factors, Gaussian (uniform for nonnegative kinds)."""
     rng = np.random.default_rng(seed)
+    draw = rng.uniform if model.nonneg else rng.standard_normal
     r = model.rank
-
-    def draw_shape(*s):
-        return rng.uniform(size=s) if model.nonneg else rng.standard_normal(s)
-
-    d = model.mode0.dictionary.n_atoms
-    init = {"X": draw_shape(d, r)}
+    init = {"X": draw(size=(model.mode0.dictionary.n_atoms, r))}
     if model.is_tensor:
         T = as_tensor3(data)
-        init["B"] = draw_shape(T.shape[1], r)
-        init["C"] = draw_shape(T.shape[2], r)
+        init["B"] = draw(size=(T.shape[1], r))
+        init["C"] = draw(size=(T.shape[2], r))
         if model.mode1 is not None:
-            init["X1"] = draw_shape(model.mode1.dictionary.n_atoms, r)
+            init["X1"] = draw(size=(model.mode1.dictionary.n_atoms, r))
     else:
         Y = as_matrix(data)
-        init["B"] = draw_shape(Y.shape[1], r)
+        init["B"] = draw(size=(Y.shape[1], r))
     return init
 
 
@@ -186,7 +184,7 @@ def _tuned_fista(P, sigma_d_sq, alpha, k, tau, X_warm, stop, nonneg, tuner):
     Returns the raw (pre-debias) iterate, the adapted ratios, whether
     the round cap was hit, and the inner iterations and rounds taken.
     """
-    lam_max = np.abs(P.M).max(axis=0)
+    lam_max = _lambda_max(P.M)
     eta = _stepsize(P.D, P.op, sigma_d_sq)
     X = np.array(X_warm, dtype=float)
     H = None
@@ -643,22 +641,18 @@ def complete_missing_rows(Y_obs, D, missing_rows, rank, k, alpha=5e-3, tau=20,
         raise ValueError(
             f"Y_obs has {Ym.shape[0]} rows, expected {obs.size} observed rows"
         )
-    from .linalg import normalize_columns
-
     D_obs, scales = normalize_columns(Dm[obs])
     kind = "nonneg_matrix_factorization" if nonneg else "matrix_factorization"
     model = DlraModel(kind, rank, ModeDictionary(D_obs, k, nonneg))
     tuner = TunerConfig(alpha0=alpha, tau=tau)
 
     best_report = None
-    best_codes = None
     for t in range(n_inits):
         init = random_init(Ym, model, np.random.SeedSequence([seed, t]).generate_state(1)[0])
         report = ao_dlra(Ym, model, tuner, l_max=l_max, init=init, stop=stop)
         if best_report is None or report.best_cost < best_report.best_cost:
             best_report = report
-            best_codes = report.best_codes[0]
-    X = best_codes.values / scales[:, None]
+    X = best_report.best_codes[0].values / scales[:, None]
     B = best_report.best_factors["B"]
     Y_missing = Dm[I] @ X @ B.T
     return Y_missing, best_report

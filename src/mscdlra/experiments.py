@@ -19,6 +19,7 @@ import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -680,8 +681,6 @@ def run_experiment(config, jobs=1, out_dir=None):
             table.extend(_execute_cell(a))
     table.sort()
     if out_dir is not None:
-        from pathlib import Path
-
         out_dir = Path(out_dir)
         table.write(out_dir)
         _write_meta(out_dir, config, alphas)

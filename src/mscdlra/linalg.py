@@ -14,6 +14,10 @@ Conventions used throughout the package:
 
 All objects are treated as immutable after construction and every function
 here is deterministic and reentrant.
+
+Every symmetric positive definite solve of the package ends in this
+module's LAPACK calls, the package's only ones: ``posv``, and ``potrf``
+with ``trtrs`` for the NNLS refit. Each caller keeps its own fallback.
 """
 
 import functools
@@ -31,6 +35,42 @@ _RIDGE_SCALE = 1e-10
 
 # Khatri-Rao products with more rows than this are never materialized.
 _MATERIALIZE_LIMIT = 1_000_000
+
+_POSV, _POTRF, _TRTRS = scipy.linalg.get_lapack_funcs(
+    ("posv", "potrf", "trtrs"), (np.zeros(1),))
+
+
+def _not_positive_definite(info):
+    return np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+
+
+def _cholesky_solve(G, rhs):
+    """``G^-1 rhs`` by one LAPACK ``posv`` (Cholesky factor and solve). This
+    module makes the package's only LAPACK calls; each caller keeps its own
+    fallback for the ``LinAlgError`` of a ``G`` not positive definite."""
+    _, x, info = _POSV(G, rhs, lower=1)
+    if info > 0:
+        raise _not_positive_definite(info)
+    return x
+
+
+def _cholesky_whiten(G, rhs):
+    """The upper Cholesky factor ``R`` of ``G = R^T R`` (``potrf``, lower
+    triangle zeroed) and ``R^-T rhs`` (``trtrs``): ``||R x - R^-T rhs||^2``
+    is ``x^T G x - 2 x^T rhs`` up to a constant."""
+    R, info = _POTRF(G, lower=0, clean=1)
+    if info > 0:
+        raise _not_positive_definite(info)
+    return R, _TRTRS(R, rhs, lower=0, trans=1)[0]
+
+
+def _solve_spd(G, rhs):
+    """:func:`_cholesky_solve` with a trace-scaled ridge retry on failure."""
+    try:
+        return _cholesky_solve(G, rhs)
+    except np.linalg.LinAlgError:
+        ridge = _RIDGE_SCALE * max(np.trace(G) / G.shape[0], 1.0)
+        return _cholesky_solve(G + ridge * np.eye(G.shape[0]), rhs)
 
 
 def as_matrix(M, name="matrix"):
@@ -358,9 +398,8 @@ def _ls_on_support(P, S, ridge, auto_ridge=True):
                 eff_ridge = max(ridge, _RIDGE_SCALE * np.trace(G) / G.shape[0])
         A = G if eff_ridge == 0.0 else G + eff_ridge * np.eye(G.shape[0])
         try:
-            cf = scipy.linalg.cho_factor(A, lower=True)
-            return scipy.linalg.cho_solve(cf, g)
-        except scipy.linalg.LinAlgError as exc:
+            return _cholesky_solve(A, g)
+        except np.linalg.LinAlgError as exc:
             if eff_ridge == 0.0:
                 raise ValueError(
                     "singular fixed-support system; pass ridge > 0 or enable auto_ridge"

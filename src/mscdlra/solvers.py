@@ -30,15 +30,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     _RIDGE_SCALE,
     SparseCodes,
+    _cholesky_solve,
+    _cholesky_whiten,
     _coerce_data,
     _ls_on_support,
     _Problem,
     _solve_on_support,
+    _solve_spd,
     as_mixing,
     canonical_support,
     dict_matrix,
@@ -52,9 +54,6 @@ from .prox import (
     prox_l11,
     soft_threshold,
 )
-
-_POSV = scipy.linalg.get_lapack_funcs("posv", (np.zeros(1),))
-
 
 @dataclass
 class StoppingRule:
@@ -104,27 +103,6 @@ def _require_unit_columns(Dm, tol=1e-6):
         )
 
 
-def _cholesky_solve(G, rhs):
-    """Cholesky factor and solve in one LAPACK ``posv`` call, without
-    scipy's per-call wrappers, which cost more than the factorization at
-    OMP sizes."""
-    _, x, info = _POSV(G, rhs, lower=1)
-    if info > 0:
-        raise scipy.linalg.LinAlgError(
-            f"{info}-th leading minor not positive definite"
-        )
-    return x
-
-
-def _solve_spd(G, rhs):
-    """Cholesky solve with a trace-scaled ridge retry on failure."""
-    try:
-        return _cholesky_solve(G, rhs)
-    except scipy.linalg.LinAlgError:
-        ridge = _RIDGE_SCALE * max(np.trace(G) / G.shape[0], 1.0)
-        return _cholesky_solve(G + ridge * np.eye(G.shape[0]), rhs)
-
-
 def _omp_gram(c0, U, k):
     """Greedy pursuit in the Gram domain.
 
@@ -150,14 +128,13 @@ def _omp_gram(c0, U, k):
     return selected, z
 
 
-def _omp_coder(Dm, k, U=None):
+def _omp_coder(Dm, k):
     """Validate ``k`` and the unit-norm atoms once and return a function
-    mapping a data vector to its OMP code and sorted support; ``U`` is
-    the atom Gram, formed here unless given."""
+    mapping a data vector to its OMP code and sorted support."""
     n, d = Dm.shape
     _check_sparsity(k, min(n, d))
     _require_unit_columns(Dm)
-    U = Dm.T @ Dm if U is None else U
+    U = Dm.T @ Dm
 
     def code(y):
         c0 = Dm.T @ np.asarray(y, dtype=float).ravel()
@@ -200,9 +177,10 @@ def _trick_omp_codes(P, k, ridge):
             "mixing factor is rank deficient "
             f"(smallest singular value {P.op.min_singular_value:.3e})"
         )
-    Z = scipy.linalg.solve(P.G, P.N.T, assume_a="pos").T
-    code = _omp_coder(P.D, k, P.U)
-    S = [code(Z[:, i])[1] for i in range(P.r)]
+    _check_sparsity(k, P.D.shape[0])
+    # rows are the columns of Y B (B^T B)^-1; a strided z rounds D^T z differently
+    Zt = np.ascontiguousarray(_cholesky_solve(P.G, P.N.T))
+    S = [np.sort(_omp_gram(P.D.T @ z, P.U, k)[0]) for z in Zt]
     return _ls_on_support(P, S, ridge)
 
 
@@ -399,11 +377,16 @@ def _homp_run(P, k, X0, stop, ridge):
     return codes, trace, iterations, termination
 
 
+def _lambda_max(M):
+    """``||M_i||_inf`` of each column; :func:`lambda_max_block` for ``M = D^T Y B``."""
+    return np.abs(M).max(axis=0)
+
+
 def lambda_max_block(Y, D, B):
     """Per-column regularization levels above which the columnwise l1
     relaxation returns exactly zero: ``||D^T Y B_i||_inf`` for each i."""
     Ym, Dm, op = _coerce_data(Y, D, B)
-    return np.abs(Dm.T @ op._data_product(Ym)).max(axis=0)
+    return _lambda_max(Dm.T @ op._data_product(Ym))
 
 
 def lambda_max_mixed(Y, D, B):
@@ -483,9 +466,7 @@ def _nnls_on_support(P, S, ridge):
 
     def solve(G, g):
         eff = max(ridge, _RIDGE_SCALE * np.trace(G) / G.shape[0])
-        L = scipy.linalg.cholesky(G + eff * np.eye(G.shape[0]), lower=False)
-        b = scipy.linalg.solve_triangular(L, g, trans="T", lower=False)
-        return nnls(L, b)[0]
+        return nnls(*_cholesky_whiten(G + eff * np.eye(G.shape[0]), g))[0]
 
     return _solve_on_support(P, S, ridge, solve)
 
@@ -580,7 +561,7 @@ def block_fista(Y, D, B, alpha, k, X0=None, stop=None, nonneg=False, ridge=0.0):
     """
 
     def prox_objective(P, eta):
-        lam = _alpha_vector(alpha, P.r) * np.abs(P.M).max(axis=0)
+        lam = _alpha_vector(alpha, P.r) * _lambda_max(P.M)
         prox, penalty = _l1_prox_penalty(eta, lam, nonneg)
         return prox, _penalized_objective(P, penalty)
 
@@ -590,7 +571,7 @@ def block_fista(Y, D, B, alpha, k, X0=None, stop=None, nonneg=False, ridge=0.0):
 def _l11_prox_penalty(a, M, eta):
     """Prox and penalty of ``lam * max_i ||X_i||_1`` with ``lam`` the
     ratio ``a`` of its maximum level."""
-    lam = a * float(np.abs(M).max(axis=0).sum())
+    lam = a * float(_lambda_max(M).sum())
 
     def prox(V):
         return prox_l11(V, eta * lam)

@@ -103,7 +103,6 @@ def support_recovery(S_est, S_true, match_columns=False):
     """
     if len(S_est) != len(S_true):
         raise ValueError("supports must have the same number of columns")
-    r = len(S_true)
     total = sum(len(s) for s in S_true)
     if total == 0:
         return 100.0
@@ -112,16 +111,12 @@ def support_recovery(S_est, S_true, match_columns=False):
     if match_columns:
         from scipy.optimize import linear_sum_assignment
 
-        overlap = np.zeros((r, r))
-        for i in range(r):
-            for j in range(r):
-                overlap[i, j] = len(np.intersect1d(est[i], true[j]))
+        overlap = np.array([[len(np.intersect1d(e, t)) for t in true] for e in est],
+                           dtype=float)
         rows, cols = linear_sum_assignment(-overlap)
         hits = overlap[rows, cols].sum()
     else:
-        hits = sum(
-            len(np.intersect1d(est[i], true[i])) for i in range(r)
-        )
+        hits = sum(len(np.intersect1d(e, t)) for e, t in zip(est, true))
     return 100.0 * float(hits) / total
 
 

@@ -10,9 +10,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .linalg import _kr_product
+from .linalg import _cholesky_solve, _kr_product
 from .solvers import StoppingRule
 
 
@@ -99,11 +98,9 @@ def _exact_ls_factor(gram, rhs, ridge=0.0):
     if ridge:
         gram = gram + ridge * np.eye(gram.shape[0])
     try:
-        cf = scipy.linalg.cho_factor(gram, lower=True)
-        return scipy.linalg.cho_solve(cf, rhs.T).T
-    except scipy.linalg.LinAlgError:
-        out, *_ = np.linalg.lstsq(gram, rhs.T, rcond=None)
-        return out.T
+        return _cholesky_solve(gram, rhs.T).T
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(gram, rhs.T, rcond=None)[0].T
 
 
 def _hals_factor(F, gram, mtt):
@@ -153,16 +150,9 @@ def cpd_als(T, r, iters=200, nonneg=False, seed=0, rel_tol=1e-8):
     if r < 1:
         raise ValueError("rank must be at least 1")
     stop = StoppingRule(rel_tol=rel_tol)
-    n, m1, m2 = T.shape
     rng = np.random.default_rng(seed)
-    if nonneg:
-        A = rng.uniform(size=(n, r))
-        B = rng.uniform(size=(m1, r))
-        C = rng.uniform(size=(m2, r))
-    else:
-        A = rng.standard_normal((n, r))
-        B = rng.standard_normal((m1, r))
-        C = rng.standard_normal((m2, r))
+    draw = rng.uniform if nonneg else rng.standard_normal
+    A, B, C = (draw(size=(size, r)) for size in T.shape)
 
     Y1, Y2, Y3 = unfold1(T), unfold2(T), unfold3(T)
     norm_sq = float(np.einsum("ijk,ijk->", T, T))

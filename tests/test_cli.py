@@ -261,6 +261,17 @@ def test_bad_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
+    cfg, out = tmp_path / "missing.cfg", tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        msc_main(["bench", "noise_sweep", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --config: cannot read {cfg}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def _config_text(value):
     """A config-file value as written by hand: grids comma-separated, pairs
     joined by 'x'."""
