@@ -159,41 +159,42 @@ def dlra_main(argv=None):
     p_run.add_argument("--model", choices=("dmf", "dnmf", "dcpd", "nndcpd"),
                        required=True)
     p_run.add_argument("--data", type=Path, required=True)
-    p_run.add_argument("--dict", type=Path, required=True, dest="dict_path")
     p_run.add_argument("--dict2", type=Path, default=None)
-    p_run.add_argument("--rank", type=int, required=True)
-    p_run.add_argument("--k", type=int, required=True)
-    p_run.add_argument("--k2", type=int, default=None)
-    p_run.add_argument("--alpha", type=float, default=1e-2)
-    p_run.add_argument("--tau", type=int, default=20)
-    p_run.add_argument("--iters", type=int, default=100)
-    p_run.add_argument("--seed", type=_at_least(0), default=0)
-    p_run.add_argument("--out", type=Path, required=True)
+    p_run.add_argument("--k2", type=_at_least(1), default=None)
 
     p_comp = sub.add_parser("complete", help="reconstruct missing rows")
     p_comp.add_argument("--data", type=Path, required=True,
                         help="full-height matrix; masked rows are ignored")
     p_comp.add_argument("--mask", type=Path, required=True,
                         help="file of missing row indices")
-    p_comp.add_argument("--dict", type=Path, required=True, dest="dict_path")
-    p_comp.add_argument("--rank", type=int, required=True)
-    p_comp.add_argument("--k", type=int, required=True)
-    p_comp.add_argument("--alpha", type=float, default=5e-3)
-    p_comp.add_argument("--tau", type=int, default=20)
-    p_comp.add_argument("--iters", type=int, default=100)
-    p_comp.add_argument("--inits", type=int, default=1)
-    p_comp.add_argument("--seed", type=_at_least(0), default=0)
-    p_comp.add_argument("--out", type=Path, required=True)
+    p_comp.add_argument("--inits", type=_at_least(1), default=1)
+    for p, alpha in ((p_run, 1e-2), (p_comp, 5e-3)):
+        p.add_argument("--dict", type=Path, required=True, dest="dict_path")
+        p.add_argument("--rank", type=_at_least(1), required=True)
+        p.add_argument("--k", type=_at_least(1), required=True)
+        p.add_argument("--alpha", type=float, default=alpha)
+        p.add_argument("--tau", type=_at_least(0), default=20)
+        p.add_argument("--iters", type=_at_least(1), default=100)
+        p.add_argument("--seed", type=_at_least(0), default=0)
+        p.add_argument("--out", type=Path, required=True)
 
     args = parser.parse_args(argv)
     if args.command == "run":
         if args.dict2 is not None and args.k2 is None:
             p_run.error("--dict2 requires --k2")
-        return _dlra_run(args)
-    return _dlra_complete(args)
+        return _dlra_run(args, p_run)
+    return _dlra_complete(args, p_comp)
 
 
-def _dlra_run(args):
+def _flagged(parser, flag, build):
+    """``build()``, whose ``ValueError`` is a usage error of ``flag``."""
+    try:
+        return build()
+    except ValueError as exc:
+        parser.error(f"argument {flag}: {exc}")
+
+
+def _dlra_run(args, parser):
     data = _read_data_any(args.data)
     kind = {
         "dmf": "matrix_factorization",
@@ -203,12 +204,13 @@ def _dlra_run(args):
     }[args.model]
     nonneg = kind.startswith("nonneg")
     D = _load_dictionary(args.dict_path)
+    mode0 = _flagged(parser, "--k", lambda: ModeDictionary(D, args.k, nonneg))
     mode1 = None
     if args.dict2 is not None:
-        mode1 = ModeDictionary(_load_dictionary(args.dict2), args.k2, nonneg=nonneg)
-    model = DlraModel(kind, args.rank, ModeDictionary(D, args.k, nonneg=nonneg),
-                      mode1)
-    tuner = TunerConfig(alpha0=args.alpha, tau=args.tau)
+        D2 = _load_dictionary(args.dict2)
+        mode1 = _flagged(parser, "--k2", lambda: ModeDictionary(D2, args.k2, nonneg))
+    model = _flagged(parser, "--dict2", lambda: DlraModel(kind, args.rank, mode0, mode1))
+    tuner = _flagged(parser, "--alpha", lambda: TunerConfig(args.alpha, args.tau))
     rep = ao_dlra(data, model, tuner, l_max=args.iters, seed=args.seed)
 
     args.out.mkdir(parents=True, exist_ok=True)
@@ -226,9 +228,12 @@ def _dlra_run(args):
     return 0
 
 
-def _dlra_complete(args):
+def _dlra_complete(args, parser):
     Y = read_matrix_csv(args.data)
     D = _load_dictionary(args.dict_path)
+    # the fit builds these on the observed rows, which keep every atom
+    _flagged(parser, "--k", lambda: ModeDictionary(D, args.k))
+    _flagged(parser, "--alpha", lambda: TunerConfig(alpha0=args.alpha))
     # the fit returns one row per distinct index, in increasing order
     missing = np.unique(read_index_file(args.mask))
     obs = np.setdiff1d(np.arange(Y.shape[0]), missing)

@@ -146,22 +146,24 @@ class DlraReport:
     tuner_rounds: int = 0
 
 
+def _start_shapes(model, data_shape):
+    """Shapes of the starting factors of ``model`` on data of ``data_shape``, in
+    draw order: "X" (d, r), "B" (m, r), and "C" (m2, r) and "X1" (d1, r) if any."""
+    r = model.rank
+    shapes = {"X": (model.mode0.dictionary.n_atoms, r), "B": (data_shape[1], r)}
+    if model.is_tensor:
+        shapes["C"] = (data_shape[2], r)
+    if model.mode1 is not None:
+        shapes["X1"] = (model.mode1.dictionary.n_atoms, r)
+    return shapes
+
+
 def random_init(data, model, seed):
     """Random starting factors, Gaussian (uniform for nonnegative kinds)."""
     rng = np.random.default_rng(seed)
     draw = rng.uniform if model.nonneg else rng.standard_normal
-    r = model.rank
-    init = {"X": draw(size=(model.mode0.dictionary.n_atoms, r))}
-    if model.is_tensor:
-        T = as_tensor3(data)
-        init["B"] = draw(size=(T.shape[1], r))
-        init["C"] = draw(size=(T.shape[2], r))
-        if model.mode1 is not None:
-            init["X1"] = draw(size=(model.mode1.dictionary.n_atoms, r))
-    else:
-        Y = as_matrix(data)
-        init["B"] = draw(size=(Y.shape[1], r))
-    return init
+    Y = as_tensor3(data) if model.is_tensor else as_matrix(data)
+    return {key: draw(size=shape) for key, shape in _start_shapes(model, Y.shape).items()}
 
 
 def _projected_gradient_factor(F, gram, mtt, inner_iters=50, ridge=_INNER_RIDGE):
@@ -332,17 +334,12 @@ def _data_array(data, model):
 
 
 def _fit_data(data, model, init):
-    """The mode-0 data matrix, the mode-1 and mode-2 unfoldings of a
-    tensor (``None`` for a matrix) and checked copies of the starting
-    factors in ``init``: "X" (d, r), "B" (m, r), and "C" (m2, r) and
-    "X1" (d1, r) where the model has them (``None`` where it does not)."""
+    """The mode-0 data matrix ``Ymat``, the mode-1 and mode-2 unfoldings
+    ``Y2``, ``Y3`` of a tensor (``Ymat.T`` and ``None`` for a matrix) and
+    checked copies of the starting factors in ``init``, of the shapes of
+    :func:`_start_shapes` ("C" and "X1" are ``None`` where there are none)."""
     Y = _data_array(data, model)
-    r = model.rank
-    shapes = {"X": (model.mode0.dictionary.n_atoms, r), "B": (Y.shape[1], r)}
-    if model.is_tensor:
-        shapes["C"] = (Y.shape[2], r)
-    if model.mode1 is not None:
-        shapes["X1"] = (model.mode1.dictionary.n_atoms, r)
+    shapes = _start_shapes(model, Y.shape)
     start = dict.fromkeys(("C", "X1"))
     for key, shape in shapes.items():
         if key not in init:
@@ -352,7 +349,7 @@ def _fit_data(data, model, init):
             raise ValueError(f"init[{key!r}] has shape {F.shape}, expected {shape}")
         start[key] = as_matrix(F, f"init[{key!r}]")
     if not model.is_tensor:
-        return Y, None, None, start
+        return Y, Y.T, None, start
     return unfold1(Y), unfold2(Y), unfold3(Y), start
 
 
@@ -386,22 +383,13 @@ class _BestIterate:
         )
 
 
-def _factor_updates(update, A, B, C, Ymat, Y2, Y3, update_b):
-    """The unconstrained factors after one round of ``update(F, gram,
-    mtt)``: for a matrix (``C`` is ``None``) B from ``A^T A`` and
-    ``Ymat^T A``; for a tensor :func:`_tensor_factor_updates`."""
-    if C is None:
-        return update(B, A.T @ A, Ymat.T @ A), None
-    return _tensor_factor_updates(update, A, B, C, Y2, Y3, update_b)
-
-
 def _alternate(Ymat, Y2, Y3, B, C, coders, update, l_max, stop=None, cost_trace=None):
     """The alternating sweep of :func:`ao_dlra` and :func:`ipalm`.
 
     ``coders`` holds one coder per constrained mode, mode 0 first; a
     second one replaces ``B`` by its ``factor()`` from the start. Each of
     at most ``l_max`` iterations (i) updates the unconstrained factors
-    (B, unless mode 1 is coded, and C) by :func:`_factor_updates` with
+    (B, unless mode 1 is coded, and C) by ``_tensor_factor_updates`` with
     the rule ``update`` against ``A = coders[0].factor()``, (ii) codes
     mode 1 against ``MixingOperator(A, C)`` on the unfolding ``Y2`` and
     sets ``B`` from it, (iii) codes mode 0 against ``MixingOperator(B,
@@ -428,7 +416,7 @@ def _alternate(Ymat, Y2, Y3, B, C, coders, update, l_max, stop=None, cost_trace=
         B = coders[1].factor()
     for l in range(1, l_max + 1):
         A = coders[0].factor()
-        B, C = _factor_updates(update, A, B, C, Ymat, Y2, Y3, len(coders) == 1)
+        B, C = _tensor_factor_updates(update, A, B, C, Y2, Y3, len(coders) == 1)
         if len(coders) > 1:
             if coders[1].update(Y2, MixingOperator(A, C)):
                 notes.append(f"iteration {l}: mode-1 tuner hit the round cap")
@@ -500,7 +488,7 @@ def ao_dlra(data, model, tuner=None, l_max=100, init=None, seed=0, stop=None):
         raise ValueError("l_max must be at least 1")
     tuner = tuner or TunerConfig()
     stop = stop or StoppingRule()
-    init = init or random_init(data, model, seed)
+    init = random_init(data, model, seed) if init is None else init
     Ymat, Y2, Y3, start = _fit_data(data, model, init)
     coders = [_ModeCoder(mode, X, model.rank, stop, tuner)
               for mode, X in _coded_modes(model, start)]
@@ -535,7 +523,7 @@ def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
     if l_max < 1:
         raise ValueError("l_max must be at least 1")
     stop = StoppingRule(rel_tol=rel_tol)
-    init = init or random_init(data, model, seed)
+    init = random_init(data, model, seed) if init is None else init
     Ymat, Y2, Y3, start = _fit_data(data, model, init)
     B, C = start["B"], start["C"]
     if model.nonneg:
@@ -583,18 +571,21 @@ def init_by_lra(data, model, seed=0, lra_iters=100):
     Y = _data_array(data, model)
     if model.is_tensor:
         factors, _ = cpd_als(Y, r, iters=lra_iters, nonneg=model.nonneg, seed=seed)
-        A0, B0, C0 = factors.A, factors.B, factors.C
+        return _coded_init(model, factors.A, factors.B, factors.C)
+    if model.nonneg:
+        A0, B0 = _nmf_hals(Y, r, iters=lra_iters, seed=seed)
+    elif r > min(Y.shape):
+        raise ValueError(f"rank {r} exceeds the SVD rank of data of shape {Y.shape}")
     else:
-        if model.nonneg:
-            A0, B0 = _nmf_hals(Y, r, iters=lra_iters, seed=seed)
-        elif r > min(Y.shape):
-            raise ValueError(f"rank {r} exceeds the SVD rank of data of shape {Y.shape}")
-        else:
-            U, s, Vt = np.linalg.svd(Y, full_matrices=False)
-            A0 = U[:, :r] * s[:r]
-            B0 = Vt[:r].T
-        C0 = None
+        U, s, Vt = np.linalg.svd(Y, full_matrices=False)
+        A0 = U[:, :r] * s[:r]
+        B0 = Vt[:r].T
+    return _coded_init(model, A0, B0)
 
+
+def _coded_init(model, A0, B0, C0=None):
+    """Starting factors of ``model`` from an unconstrained fit ``A0, B0(,
+    C0)``: the OMP codes of A0 (and of B0 for a second coded mode)."""
     init = {"X": _omp_columns(A0, model.mode0.dictionary, model.mode0.k), "B": B0}
     if C0 is not None:
         init["C"] = C0

@@ -31,6 +31,7 @@ from .dlra import (
     DlraModel,
     ModeDictionary,
     TunerConfig,
+    _coded_init,
     ao_dlra,
     complete_missing_rows,
     init_by_lra,
@@ -538,10 +539,7 @@ def _denoise_ao(config, inst, factors, trace, both_modes):
     mode1 = ModeDictionary(inst["D2"], config.k2, nonneg=True) if both_modes else None
     model = DlraModel("nonneg_cpd", config.r,
                       ModeDictionary(inst["D1"], config.k, nonneg=True), mode1)
-    init = {"X": _omp_columns(factors.A, inst["D1"], config.k),
-            "B": factors.B, "C": factors.C}
-    if both_modes:
-        init["X1"] = _omp_columns(factors.B, inst["D2"], config.k2)
+    init = _coded_init(model, factors.A, factors.B, factors.C)
     tuner = TunerConfig(alpha0=float(config.alpha), tau=config.tau)
     rep = ao_dlra(inst["T"], model, tuner, l_max=config.l_max, init=init)
     A_hat = inst["D1"].matrix @ rep.best_codes[0].values

@@ -8,7 +8,7 @@ Conventions used throughout the package:
 * a mixing factor is either a dense matrix or a columnwise Kronecker
   (Khatri-Rao) product of two matrices, wrapped in :class:`MixingOperator`
   which exposes Gram and data products without materializing the product
-  when it is large,
+  when it is large; ``_kr_gram`` and ``_kr_product`` form all of them,
 * a support is a list with one strictly increasing index array per code
   column.
 
@@ -152,27 +152,40 @@ def spectral_norm_sq(M):
 
 
 def khatri_rao(B, C):
-    """Columnwise Kronecker product.
+    """Columnwise Kronecker product: both factors checked, then :func:`_khatri_rao`.
 
     Column ``l`` of the result is ``kron(B[:, l], C[:, l])``; entry
     ``(j, k)`` of that column sits at row ``j * m2 + k`` (row-first).
     """
-    Bm = as_matrix(B, "B")
-    Cm = as_matrix(C, "C")
+    return _khatri_rao(*_kr_factors(B, C))
+
+
+def _kr_factors(B, C):
+    """``B`` and ``C`` as finite 2-D arrays with one column count."""
+    Bm, Cm = as_matrix(B, "B"), as_matrix(C, "C")
     if Bm.shape[1] != Cm.shape[1]:
-        raise ValueError(
-            f"column counts differ: {Bm.shape[1]} vs {Cm.shape[1]}"
-        )
-    m1, r = Bm.shape
-    m2 = Cm.shape[0]
-    return (Bm[:, None, :] * Cm[None, :, :]).reshape(m1 * m2, r)
+        raise ValueError(f"column counts differ: {Bm.shape[1]} vs {Cm.shape[1]}")
+    return Bm, Cm
 
 
-def _kr_product(Y, B, C):
-    """``Y @ khatri_rao(B, C)``; above ``_MATERIALIZE_LIMIT`` rows ``Y`` is
-    contracted as an (n, m1, m2) tensor with ``B`` and ``C`` instead."""
+def _khatri_rao(B, C):
+    """:func:`khatri_rao` of two factors already checked."""
+    return (B[:, None, :] * C[None, :, :]).reshape(B.shape[0] * C.shape[0], B.shape[1])
+
+
+def _kr_gram(B, C=None):
+    """Gram of the mixing ``B``, or of ``khatri_rao(B, C)``: ``B^T B * C^T C``."""
+    G = B.T @ B
+    return G if C is None else G * (C.T @ C)
+
+
+def _kr_product(Y, B, C=None):
+    """``Y @ B``, or ``Y @ khatri_rao(B, C)``; above ``_MATERIALIZE_LIMIT``
+    rows ``Y`` is contracted as an (n, m1, m2) tensor with ``B`` and ``C``."""
+    if C is None:
+        return Y @ B
     if B.shape[0] * C.shape[0] <= _MATERIALIZE_LIMIT:
-        return Y @ khatri_rao(B, C)
+        return Y @ _khatri_rao(B, C)
     T = Y.reshape(Y.shape[0], B.shape[0], C.shape[0])
     return np.einsum("ijk,jl,kl->il", T, B, C, optimize=True)
 
@@ -184,24 +197,19 @@ class MixingOperator:
     matrices ``B`` (m1 x r) and ``C`` (m2 x r), in which case the
     effective matrix has shape (m1*m2, r) and is only materialized when
     small. Construction checks the factors and forms the r x r Gram
-    matrix; its eigenvalues, behind :meth:`spectral_norm_sq`,
+    matrix by :func:`_kr_gram`; its eigenvalues, behind :meth:`spectral_norm_sq`,
     ``min_singular_value`` and ``rank_deficient``, are computed on the
-    first read of any of them and kept.
+    first read of any of them and kept. Data products use :func:`_kr_product`.
     """
 
     def __init__(self, B, C=None):
         self.B = as_matrix(B, "B")
         self.C = None if C is None else as_matrix(C, "C")
-        if self.C is None:
-            self.kind = "dense"
-            self._gram = self.B.T @ self.B
-            self.n_rows = self.B.shape[0]
-        else:
-            if self.B.shape[1] != self.C.shape[1]:
-                raise ValueError("Khatri-Rao factors must share the column count")
-            self.kind = "khatri_rao"
-            self._gram = (self.B.T @ self.B) * (self.C.T @ self.C)
-            self.n_rows = self.B.shape[0] * self.C.shape[0]
+        if self.C is not None and self.B.shape[1] != self.C.shape[1]:
+            raise ValueError("Khatri-Rao factors must share the column count")
+        self.kind = "dense" if self.C is None else "khatri_rao"
+        self._gram = _kr_gram(self.B, self.C)
+        self.n_rows = self.B.shape[0] * (1 if self.C is None else self.C.shape[0])
         self.n_cols = self.B.shape[1]
 
     @functools.cached_property
@@ -234,10 +242,9 @@ class MixingOperator:
         if self.kind == "dense":
             return self.B
         if self.n_rows > _MATERIALIZE_LIMIT:
-            raise ValueError(
-                f"refusing to materialize a {self.n_rows}-row Khatri-Rao product"
-            )
-        return khatri_rao(self.B, self.C)
+            raise ValueError(f"refusing to materialize a {self.n_rows}-row "
+                             "Khatri-Rao product")
+        return _khatri_rao(self.B, self.C)
 
     def data_product(self, Y):
         """Compute ``Y @ B_eff`` without materializing a large product.
@@ -256,8 +263,6 @@ class MixingOperator:
 
     def _data_product(self, Ym):
         """:meth:`data_product` of a finite (n, ``n_rows``) array."""
-        if self.kind == "dense":
-            return Ym @ self.B
         return _kr_product(Ym, self.B, self.C)
 
     def spectral_norm_sq(self):

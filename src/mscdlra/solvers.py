@@ -39,12 +39,13 @@ from .linalg import (
     _coerce_data,
     _ls_on_support,
     _Problem,
+    _residual_cost,
     _solve_on_support,
     _solve_spd,
     as_mixing,
     canonical_support,
     dict_matrix,
-    residual_cost,
+    residual_cost,  # noqa: F401 (unused here; kept as solvers.residual_cost)
     spectral_norm_sq,
     support_from_values,
 )
@@ -194,7 +195,7 @@ def trick_omp(Y, D, B, k, ridge=0.0):
 
     def run(P):
         codes = _trick_omp_codes(P, k, ridge)
-        return codes, [residual_cost(P.Y, P.D, codes, P.op)], k, "tolerance"
+        return codes, [_residual_cost(P.Y, P.D, codes.values, P.op)], k, "tolerance"
 
     return _solve(Y, D, B, k, run)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _cholesky_solve, _kr_product
+from .linalg import _cholesky_solve, _kr_factors, _kr_gram, _kr_product
 from .solvers import StoppingRule
 
 
@@ -76,16 +76,15 @@ def mttkrp(T, B, C):
     """Matricized-tensor times Khatri-Rao product, ``unfold1(T) @ (B kr C)``.
 
     ``B kr C`` is materialized only when it has at most 1e6 rows; above
-    that the tensor is contracted with ``B`` and ``C`` directly.
+    that the tensor is contracted with ``B`` and ``C`` directly. Either
+    way ``B`` and ``C`` are checked as ``khatri_rao`` checks them.
     """
     T = as_tensor3(T)
-    B = np.asarray(B, dtype=float)
-    C = np.asarray(C, dtype=float)
+    B, C = np.asarray(B, dtype=float), np.asarray(C, dtype=float)
     if T.shape[1] != B.shape[0] or T.shape[2] != C.shape[0]:
-        raise ValueError(
-            f"tensor {T.shape} does not conform to factors {B.shape}, {C.shape}"
-        )
-    return _kr_product(unfold1(T), B, C)
+        raise ValueError(f"tensor {T.shape} does not conform to factors "
+                         f"{B.shape}, {C.shape}")
+    return _kr_product(unfold1(T), *_kr_factors(B, C))
 
 
 def _exact_ls_factor(gram, rhs, ridge=0.0):
@@ -125,11 +124,12 @@ def _update_factor(F, gram, mtt, nonneg, ridge=0.0):
 
 
 def _tensor_factor_updates(update, A, B, C, Y2, Y3, update_b):
-    """Update B (when ``update_b``) and then C of a tensor model, each by
-    ``update(F, gram, mttkrp)`` from its Khatri-Rao Gram and MTTKRP."""
+    """Update B (if ``update_b``) by ``update(F, gram, mttkrp)`` for the mixing ``A kr C``
+    on ``Y2``, then C for ``A kr B`` on ``Y3``; a matrix has no C, and ``Y2 = Ymat.T``."""
     if update_b:
-        B = update(B, (A.T @ A) * (C.T @ C), _kr_product(Y2, A, C))
-    C = update(C, (A.T @ A) * (B.T @ B), _kr_product(Y3, A, B))
+        B = update(B, _kr_gram(A, C), _kr_product(Y2, A, C))
+    if C is not None:
+        C = update(C, _kr_gram(A, B), _kr_product(Y3, A, B))
     return B, C
 
 
@@ -162,13 +162,13 @@ def cpd_als(T, r, iters=200, nonneg=False, seed=0, rel_tol=1e-8):
         """The cost and its MTTKRP, which the next A update reuses."""
         mtt1 = _kr_product(Y1, B, C)
         cross = np.einsum("ij,ij->", A, mtt1)
-        fit = np.einsum("ij,ij->", (A.T @ A) * (B.T @ B), C.T @ C)
+        fit = np.einsum("ij,ij->", _kr_gram(A, B), C.T @ C)
         return max(float(norm_sq - 2.0 * cross + fit), 0.0), mtt1
 
     cur, mtt1 = cost(A, B, C)
     trace = [cur]
     for _ in range(iters):
-        A = update(A, (B.T @ B) * (C.T @ C), mtt1)
+        A = update(A, _kr_gram(B, C), mtt1)
         B, C = _tensor_factor_updates(update, A, B, C, Y2, Y3, True)
 
         if not nonneg:

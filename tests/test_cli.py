@@ -375,3 +375,58 @@ def test_dlra_run_dict2_without_k2_is_a_usage_error(msc_files, capsys):
     assert exc.value.code == 2
     assert "--dict2 requires --k2" in capsys.readouterr().err
     assert not (tmp / "out").exists()
+
+
+DLRA_RUN = ["run", "--model", "dmf", "--rank", "2", "--k", "2"]
+DLRA_COMPLETE = ["complete", "--rank", "2", "--k", "2"]
+
+
+@pytest.mark.parametrize("argv", [DLRA_RUN, DLRA_COMPLETE], ids=["run", "complete"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rank", "0", "must be at least 1, got 0"),
+    ("--k", "0", "must be at least 1, got 0"),
+    ("--iters", "0", "must be at least 1, got 0"),
+    ("--tau", "-1", "must be at least 0, got -1"),
+    ("--k", "17", "sparsity level k=17 must lie in [1, 16]"),
+    ("--alpha", "1.5", "alpha0 must lie in [0, 1]"),
+    ("--alpha", "-0.1", "alpha0 must lie in [0, 1]"),
+])
+def test_dlra_bad_value_is_a_usage_error(msc_files, capsys, argv, flag, value, message):
+    """A value the fit would reject is reported as a usage error naming
+    its flag (exit status 2), and no output directory is created. The
+    dictionary of ``msc_files`` has 16 atoms."""
+    paths, tmp = msc_files
+    mask = tmp / "mask.txt"
+    mask.write_text("3\n")
+    files = ["--data", str(paths["Y"]), "--dict", str(paths["D"])]
+    if argv[0] == "complete":
+        files += ["--mask", str(mask)]
+    with pytest.raises(SystemExit) as exc:
+        dlra_main([*argv, *files, flag, value, "--out", str(tmp / "out")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--model", "dcpd", "--dict2", "D", "--k2", "0"],
+     "argument --k2: must be at least 1, got 0"),
+    (["run", "--model", "dcpd", "--dict2", "D", "--k2", "17"],
+     "argument --k2: sparsity level k=17 must lie in [1, 16]"),
+    (["run", "--model", "dmf", "--dict2", "D", "--k2", "2"],
+     "argument --dict2: a second constrained mode requires a tensor kind"),
+    (["complete", "--mask", "mask", "--inits", "0"],
+     "argument --inits: must be at least 1, got 0"),
+])
+def test_dlra_bad_second_mode_or_inits_is_a_usage_error(msc_files, capsys, argv,
+                                                         message):
+    paths, tmp = msc_files
+    (tmp / "mask.txt").write_text("3\n")
+    named = {"D": str(paths["D"]), "mask": str(tmp / "mask.txt")}
+    with pytest.raises(SystemExit) as exc:
+        dlra_main([*(named.get(a, a) for a in argv), "--data", str(paths["Y"]),
+                   "--dict", str(paths["D"]), "--rank", "2", "--k", "2",
+                   "--out", str(tmp / "out")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp / "out").exists()

@@ -432,6 +432,15 @@ class TestFitBoundary:
             else:
                 FITS[fit](np.zeros_like(data), model, init)
 
+    @pytest.mark.parametrize("fit", FITS)
+    @pytest.mark.parametrize("case", [matrix_fit_case, two_mode_fit_case])
+    def test_empty_init_is_rejected_not_drawn(self, fit, case):
+        """Only ``init=None`` draws a random start; an empty dict is an
+        init that lacks every factor."""
+        data, model, _ = case()
+        with pytest.raises(ValueError, match="^init has no 'X'"):
+            FITS[fit](data, model, {})
+
 
 def collapsing_at(l_collapse, rule):
     """A factor rule that behaves as ``rule`` but returns zeros on its

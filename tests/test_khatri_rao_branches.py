@@ -9,9 +9,15 @@ including its fallback on a singular Gram matrix, and ``fixed_support_ls``
 with a Khatri-Rao operator, on either side of the limit, against the
 explicit Kronecker least-squares oracle. ``homp`` on a Khatri-Rao
 operator above the limit must code as it does on the dense product.
+The Gram and data-product kernels ``_kr_gram`` and ``_kr_product`` must
+equal their written-out definitions bit for bit, for dense and
+Khatri-Rao mixings, and ``mttkrp`` must check its factors as
+``khatri_rao`` does on either side of the limit.
 """
 
 import contextlib
+import functools
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +34,15 @@ from mscdlra.linalg import (
     residual_cost,
 )
 from mscdlra.solvers import homp
-from mscdlra.tensor import _exact_ls_factor, mttkrp, unfold1, unfold2, unfold3
+from mscdlra.tensor import (
+    _exact_ls_factor,
+    _tensor_factor_updates,
+    _update_factor,
+    mttkrp,
+    unfold1,
+    unfold2,
+    unfold3,
+)
 
 RTOL = 1e-10
 
@@ -180,3 +194,59 @@ def test_homp_on_large_operator_matches_dense_product(p, data):
     for a, b in zip(got.codes.support, ref.codes.support):
         np.testing.assert_array_equal(a, b)
     assert got.final_cost() == pytest.approx(ref.final_cost(), rel=RTOL)
+
+
+@st.composite
+def mixings(draw):
+    """Data ``Y`` (n, m), a factor ``B`` (m1, r) and, for a Khatri-Rao
+    mixing, ``C`` (m2, r) with ``m = m1 * m2``; ``C`` is ``None`` for a
+    dense one, with ``m = m1``."""
+    n, m1, r = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    m2 = draw(st.one_of(st.none(), st.integers(1, 7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    C = None if m2 is None else rng.standard_normal((m2, r))
+    return rng.standard_normal((n, m1 * (m2 or 1))), rng.standard_normal((m1, r)), C
+
+
+@given(mixings())
+def test_kr_kernels_equal_their_definitions(p):
+    Y, B, C = p
+    G, N = linalg._kr_gram(B, C), linalg._kr_product(Y, B, C)
+    if C is None:
+        np.testing.assert_array_equal(G, B.T @ B)
+        np.testing.assert_array_equal(N, Y @ B)
+        return
+    K = khatri_rao(B, C)
+    np.testing.assert_array_equal(G, (B.T @ B) * (C.T @ C))
+    np.testing.assert_array_equal(N, Y @ K)
+    scale = (np.abs(K).T @ np.abs(K)).max()
+    np.testing.assert_allclose(G, K.T @ K, rtol=0, atol=RTOL * scale)
+
+
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 6),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_matrix_factor_step_is_the_dense_update(n, m, r, seed, nonneg):
+    """For a matrix model the one factor step updates B from ``A^T A``
+    and ``Ymat^T A``, with the transposed data as ``Y2``, and no C."""
+    rng = np.random.default_rng(seed)
+    Ymat, A, B = (rng.standard_normal((n, m)), rng.standard_normal((n, r)),
+                  rng.uniform(size=(m, r)))
+    update = functools.partial(_update_factor, nonneg=nonneg)
+    got, C = _tensor_factor_updates(update, A, B, None, Ymat.T, None, True)
+    np.testing.assert_array_equal(got, update(B, A.T @ A, Ymat.T @ A))
+    assert C is None
+
+
+@pytest.mark.parametrize("large", [False, True])
+@pytest.mark.parametrize("factors, message", [
+    ((np.full((3, 2), np.inf), np.ones((4, 2))), "B contains non-finite entries"),
+    ((np.ones((3, 2)), np.array([[np.nan, 1.0]] * 4)), "C contains non-finite entries"),
+    ((np.ones(3), np.ones((4, 2))), "B must be 2-D, got shape (3,)"),
+    ((np.ones((3, 2)), np.ones(4)), "C must be 2-D, got shape (4,)"),
+    ((np.ones((3, 2)), np.ones((4, 3))), "column counts differ: 2 vs 3"),
+])
+def test_mttkrp_checks_its_factors(factors, message, large):
+    T = np.ones((2, 3, 4))
+    with large_operator_branches() if large else contextlib.nullcontext():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mttkrp(T, *factors)

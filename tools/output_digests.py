@@ -22,9 +22,12 @@ Groups:
 * ``dnmf.<fit>``: the nonnegative matrix model on the absolute values of
   the ``dmf_fit`` data;
 * ``cpd.<fit>`` and ``nncpd.<fit>``: the one-mode signed and nonnegative
-  CPD models on the ``nndcpd_fit`` tensors, from a random start.
+  CPD models on the ``nndcpd_fit`` tensors, from a random start;
+* ``dnmf.init_by_lra`` and ``cpd.init_by_lra``: ``init_by_lra`` on the
+  ``dnmf`` and ``cpd`` models, which runs the nonnegative matrix HALS and
+  the signed CPD ALS with its column normalisation.
 
-The extra groups (the last three kinds) use the first
+The extra groups (the last four kinds) use the first
 ``EXTRA_INSTANCES`` instances of their workload. BLAS threads are pinned to 1 before numpy
 loads; the package and the workloads are imported from this checkout's
 ``src/`` and ``benchmark/``, which are only read.
@@ -117,8 +120,11 @@ def workload_groups(name, seed):
             Y = np.abs(inst["Y"])
             model = pkg.DlraModel("nonneg_matrix_factorization", p["r"],
                                   pkg.ModeDictionary(inst["D"], p["k"], nonneg=True))
-            init = pkg.random_init(Y, model, pkg.synth.derive_seed(w.seed_for(seed, i), 7))
+            init_seed = pkg.synth.derive_seed(w.seed_for(seed, i), 7)
+            init = pkg.random_init(Y, model, init_seed)
             add_fits(groups, "dnmf", Y, model, init, p, l_max=p["ipalm_iters"], mu=p["mu"])
+            groups.setdefault("dnmf.init_by_lra", []).append(
+                lambda Y=Y, model=model, s=init_seed: pkg.init_by_lra(Y, model, seed=s))
     if name == "nndcpd_fit":
         groups["nndcpd_fit.ipalm"] = [
             lambda inst=inst: pkg.ipalm(inst["T"], inst["model"], init=inst["init"])
@@ -130,6 +136,10 @@ def workload_groups(name, seed):
                                       pkg.ModeDictionary(inst["D1"], p["k"], nonneg=nonneg))
                 init = pkg.random_init(inst["T"], model, inst["init_seed"])
                 add_fits(groups, kind, inst["T"], model, init, p)
+                if not nonneg:
+                    groups.setdefault("cpd.init_by_lra", []).append(
+                        lambda inst=inst, model=model: pkg.init_by_lra(
+                            inst["T"], model, seed=inst["init_seed"]))
     return groups
 
 
