@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dlra import DlraModel, ModeDictionary, TunerConfig, ao_dlra, complete_missing_rows
+from .dlra import (DlraModel, ModeDictionary, TunerConfig, _data_array, _missing_row_set,
+                   ao_dlra, complete_missing_rows)
 from .experiments import (MSC_SOLVERS, MSC_STRATEGIES, TEST_NAMES, ExperimentConfig,
                           default_config, run_experiment)
 from .fileio import (
@@ -24,7 +25,7 @@ from .fileio import (
     read_tensor,
     write_matrix_csv,
 )
-from .linalg import normalize_columns, residual_cost
+from .linalg import _coerce_data, as_matrix, normalize_columns, residual_cost
 
 
 def _parse_config_file(path, test_name):
@@ -120,9 +121,9 @@ def msc_main(argv=None):
         print(f"wrote {args.out / 'results.csv'}")
         return 0
 
-    Y = read_matrix_csv(args.data)
-    D = _load_dictionary(args.dict_path)
-    B = read_matrix_csv(args.mixing)
+    D = _flagged(p_solve, "--dict", lambda: _load_dictionary(args.dict_path))
+    B = _flagged(p_solve, "--mixing", lambda: as_matrix(read_matrix_csv(args.mixing), "B"))
+    Y = _flagged(p_solve, "--data", lambda: _coerce_data(read_matrix_csv(args.data), D, B)[0])
     try:
         rep = MSC_STRATEGIES[args.solver].run(Y, D, B, args.k, args.alpha)
     except ValueError as exc:
@@ -187,15 +188,27 @@ def dlra_main(argv=None):
 
 
 def _flagged(parser, flag, build):
-    """``build()``, whose ``ValueError`` is a usage error of ``flag``."""
+    """``build()``, whose ``ValueError``, or ``OSError`` on opening a file,
+    is a usage error of ``flag``."""
     try:
         return build()
+    except OSError as exc:
+        parser.error(f"argument {flag}: cannot read {exc.filename}: {exc.strerror}")
     except ValueError as exc:
         parser.error(f"argument {flag}: {exc}")
 
 
+def _full_height(Y, n, obs):
+    """``Y`` if it has the dictionary's ``n`` rows and its observed rows
+    ``obs`` are finite; the completion replaces the other rows."""
+    if Y.shape[0] != n:
+        raise ValueError(f"data has {Y.shape[0]} rows, expected {n} "
+                         "(rows of the dictionary)")
+    as_matrix(Y[obs], "observed data")
+    return Y
+
+
 def _dlra_run(args, parser):
-    data = _read_data_any(args.data)
     kind = {
         "dmf": "matrix_factorization",
         "dnmf": "nonneg_matrix_factorization",
@@ -203,14 +216,16 @@ def _dlra_run(args, parser):
         "nndcpd": "nonneg_cpd",
     }[args.model]
     nonneg = kind.startswith("nonneg")
-    D = _load_dictionary(args.dict_path)
+    D = _flagged(parser, "--dict", lambda: _load_dictionary(args.dict_path))
     mode0 = _flagged(parser, "--k", lambda: ModeDictionary(D, args.k, nonneg))
     mode1 = None
     if args.dict2 is not None:
-        D2 = _load_dictionary(args.dict2)
+        D2 = _flagged(parser, "--dict2", lambda: _load_dictionary(args.dict2))
         mode1 = _flagged(parser, "--k2", lambda: ModeDictionary(D2, args.k2, nonneg))
     model = _flagged(parser, "--dict2", lambda: DlraModel(kind, args.rank, mode0, mode1))
     tuner = _flagged(parser, "--alpha", lambda: TunerConfig(args.alpha, args.tau))
+    # read last, so that the data is checked against the model's dictionaries
+    data = _flagged(parser, "--data", lambda: _data_array(_read_data_any(args.data), model))
     rep = ao_dlra(data, model, tuner, l_max=args.iters, seed=args.seed)
 
     args.out.mkdir(parents=True, exist_ok=True)
@@ -229,14 +244,16 @@ def _dlra_run(args, parser):
 
 
 def _dlra_complete(args, parser):
-    Y = read_matrix_csv(args.data)
-    D = _load_dictionary(args.dict_path)
+    D = _flagged(parser, "--dict", lambda: _load_dictionary(args.dict_path))
     # the fit builds these on the observed rows, which keep every atom
     _flagged(parser, "--k", lambda: ModeDictionary(D, args.k))
     _flagged(parser, "--alpha", lambda: TunerConfig(alpha0=args.alpha))
+    n = D.shape[0]
     # the fit returns one row per distinct index, in increasing order
-    missing = np.unique(read_index_file(args.mask))
-    obs = np.setdiff1d(np.arange(Y.shape[0]), missing)
+    missing = _flagged(parser, "--mask",
+                       lambda: _missing_row_set(read_index_file(args.mask), n))
+    obs = np.setdiff1d(np.arange(n), missing)
+    Y = _flagged(parser, "--data", lambda: _full_height(read_matrix_csv(args.data), n, obs))
     Y_missing, rep = complete_missing_rows(
         Y[obs], D, missing, rank=args.rank, k=args.k, alpha=args.alpha,
         tau=args.tau, l_max=args.iters, n_inits=args.inits, seed=args.seed,

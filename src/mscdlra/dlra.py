@@ -43,7 +43,6 @@ from .solvers import (
     _l1_prox_penalty,
     _lambda_max,
     _omp_columns,
-    _penalized_objective,
     _stepsize,
     _truncate_support,
 )
@@ -180,8 +179,9 @@ def _projected_gradient_factor(F, gram, mtt, inner_iters=50, ridge=_INNER_RIDGE)
 
 def _tuned_fista(P, sigma_d_sq, alpha, k, tau, X_warm, stop, nonneg, tuner):
     """Inner convex solve on the problem ``P`` re-run until each column
-    lands in [k, k + tau]. Each round starts from the previous round's
-    iterate and its product ``U @ X @ G``.
+    lands in [k, k + tau]. Each round is one :func:`_fista_core` run with
+    that round's columnwise l1 prox and penalty, started from the previous
+    round's iterate and its product ``U @ X @ G``.
 
     Returns the raw (pre-debias) iterate, the adapted ratios, whether
     the round cap was hit, and the inner iterations and rounds taken.
@@ -195,8 +195,7 @@ def _tuned_fista(P, sigma_d_sq, alpha, k, tau, X_warm, stop, nonneg, tuner):
     iterations = rounds = 0
     while True:
         prox, penalty = _l1_prox_penalty(eta, alpha * lam_max, nonneg)
-        objective = _penalized_objective(P, penalty)
-        X, H, _, its, _ = _fista_core(P, prox, objective, X, eta, stop, H)
+        X, H, _, its, _ = _fista_core(P, prox, penalty, X, eta, stop, H)
         iterations += its
         rounds += 1
         nnz = np.count_nonzero(np.abs(X) > SUPPORT_TOL, axis=0)
@@ -594,6 +593,15 @@ def _coded_init(model, A0, B0, C0=None):
     return init
 
 
+def _missing_row_set(missing_rows, n):
+    """The distinct indices of ``missing_rows`` in increasing order, each
+    checked to lie in [0, n)."""
+    I = np.unique(np.asarray(missing_rows, dtype=int))
+    if I.size and (I[0] < 0 or I[-1] >= n):
+        raise ValueError(f"missing row indices outside [0, {n})")
+    return I
+
+
 def complete_missing_rows(Y_obs, D, missing_rows, rank, k, alpha=5e-3, tau=20,
                           l_max=100, n_inits=1, seed=0, nonneg=False,
                           stop=None):
@@ -616,9 +624,7 @@ def complete_missing_rows(Y_obs, D, missing_rows, rank, k, alpha=5e-3, tau=20,
     """
     Dm = dict_matrix(D)
     n = Dm.shape[0]
-    I = np.unique(np.asarray(missing_rows, dtype=int))
-    if I.size and (I[0] < 0 or I[-1] >= n):
-        raise ValueError(f"missing row indices outside [0, {n})")
+    I = _missing_row_set(missing_rows, n)
     obs = np.setdiff1d(np.arange(n), I)
     if obs.size == 0:
         raise ValueError("no observed rows to fit on")

@@ -18,8 +18,9 @@ def write_matrix_csv(path, M):
 
 
 def read_matrix_csv(path):
-    M = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    return M
+    # opened here, so that a missing file raises an OSError naming it
+    with open(path) as fh:
+        return np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2)
 
 
 def write_tensor(path, T):

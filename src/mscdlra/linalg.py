@@ -339,7 +339,8 @@ class _Problem:
     public call, with the pieces every solver works from: ``D``, ``op``,
     ``Y``, ``d``, ``r``, the d x d atom Gram ``U = D^T D`` (8 d^2 bytes),
     ``G = B^T B``, ``N = Y B``, ``M = D^T N`` and ``normY_sq``. A caller
-    that codes against one dictionary many times passes its ``U``."""
+    that codes against one dictionary many times passes its ``U``.
+    :meth:`cost` is the one Gram-domain objective that scores iterates."""
 
     def __init__(self, Y, D, B, U=None):
         self.Y, self.D, self.op = _coerce_data(Y, D, B)
@@ -358,6 +359,14 @@ class _Problem:
         if X.shape != (self.d, self.r):
             raise ValueError(f"X0 has shape {X.shape}, expected {(self.d, self.r)}")
         return as_matrix(X, "X0").copy()
+
+    def cost(self, X, H=None):
+        """``||Y - D X B^T||_F^2`` as ``||Y||^2 - 2<X, M> + <U X G, X>``, clamped
+        at 0, without a dense residual. ``H`` is the product ``U @ X @ G``
+        when given, and is formed otherwise."""
+        fit = np.einsum("ij,ij->", self.U @ X @ self.G if H is None else H, X)
+        cross = np.einsum("ij,ij->", X, self.M)
+        return max(self.normY_sq - 2.0 * cross + fit, 0.0)
 
 
 def _assemble_normal_system(Dm, U, V, N, S):

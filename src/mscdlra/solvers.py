@@ -45,7 +45,6 @@ from .linalg import (
     as_mixing,
     canonical_support,
     dict_matrix,
-    residual_cost,  # noqa: F401 (unused here; kept as solvers.residual_cost)
     spectral_norm_sq,
     support_from_values,
 )
@@ -265,15 +264,15 @@ def iht(Y, D, B, k, X0=None, stop=None, ridge=0.0):
         X = HT_k(Z - eta * (D^T D Z B^T B - D^T Y B))
 
     with the inertia sequence ``beta = (1 + sqrt(1 + 4 beta^2)) / 2``,
-    stopping on the relative decrease of the raw residual, which the
-    trace evaluates in the Gram domain without a dense residual. The
-    final support is refit by :func:`fixed_support_ls`.
+    stopping on the relative decrease of the raw residual: with no
+    penalty, :func:`_fista_core` traces :meth:`_Problem.cost`, the Gram-domain
+    residual. The final support is refit by :func:`fixed_support_ls`.
     """
 
-    def prox_objective(P, eta):
-        return (lambda V: hard_threshold_columns(V, k)), _gram_cost(P)
+    def prox_penalty(P, eta):
+        return (lambda V: hard_threshold_columns(V, k)), None
 
-    return _proximal_solve(Y, D, B, k, X0, stop, ridge, False, prox_objective)
+    return _proximal_solve(Y, D, B, k, X0, stop, ridge, False, prox_penalty)
 
 
 def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
@@ -295,6 +294,8 @@ def homp(Y, D, B, k, X0=None, stop=None, ridge=0.0):
     The sweeps run in the Gram domain: they keep ``D^T D X`` current and
     score each update by its exact change of the cost, without a dense
     residual or mixing matrix, so Khatri-Rao operators of any size work.
+    The start, the greedy candidate and the refit are scored by
+    :meth:`_Problem.cost`.
 
     With ``X0=None`` the sweeps start from ``X = 0``, and right after the
     first sweep the codes of :func:`trick_omp` are offered once as a
@@ -319,10 +320,9 @@ def _homp_run(P, k, X0, stop, ridge):
     n, r, U, G, M = P.D.shape[0], P.r, P.U, P.G, P.M
     X = P.start(X0)
     offer_greedy = X0 is None and r > 1 and not P.op.rank_deficient and k <= n
-    gram_cost = _gram_cost(P)
 
     W = U @ X
-    cost = gram_cost(X)
+    cost = P.cost(X)
     trace = [cost]
     iterations = 0
     termination = "max_iter"
@@ -355,7 +355,7 @@ def _homp_run(P, k, X0, stop, ridge):
             cost = max(cost + delta, 0.0)
         if offer_greedy and iterations == 0:
             Xg = _trick_omp_codes(P, k, ridge).values
-            c_greedy = gram_cost(Xg)
+            c_greedy = P.cost(Xg)
             if c_greedy < cost:
                 X, W, cost, rejections = Xg, U @ Xg, c_greedy, 0
         iterations += 1
@@ -370,7 +370,7 @@ def _homp_run(P, k, X0, stop, ridge):
             )
             break
     codes = _ls_on_support(P, support_from_values(X), ridge)
-    final = gram_cost(codes.values)
+    final = P.cost(codes.values)
     if final > cost:
         # numerically tied refit; keep the sweep iterate
         codes, final = SparseCodes.from_values(X), cost
@@ -396,41 +396,25 @@ def lambda_max_mixed(Y, D, B):
     return float(lambda_max_block(Y, D, B).sum())
 
 
-def _gram_cost(P):
-    """``||Y - D X B^T||_F^2`` as ``||Y||^2 - 2<X, M> + <U X G, X>``, clamped
-    at 0, from the Gram pieces of the problem ``P``. The returned
-    ``cost(X, H=None)`` uses ``H`` as the product ``U @ X @ G`` when
-    given, and forms it otherwise."""
-    normY_sq, U, G, M = P.normY_sq, P.U, P.G, P.M
-
-    def cost(X, H=None):
-        fit = np.einsum("ij,ij->", U @ X @ G if H is None else H, X)
-        cross = np.einsum("ij,ij->", X, M)
-        return max(normY_sq - 2.0 * cross + fit, 0.0)
-
-    return cost
-
-
-def _penalized_objective(P, penalty):
-    """``0.5 ||Y - D X B^T||_F^2 + penalty(X)``, evaluated in the Gram domain;
-    takes ``H = U @ X @ G`` like :func:`_gram_cost`."""
-    cost = _gram_cost(P)
-    return lambda X, H=None: 0.5 * cost(X, H) + penalty(X)
-
-
-def _fista_core(P, prox, objective, X0, eta, stop, H0=None):
+def _fista_core(P, prox, penalty, X0, eta, stop, H0=None):
     """Inertial proximal gradient iterations shared by the iterative solvers.
 
-    The gradient comes from the Gram pieces of the problem ``P``;
-    ``prox`` maps a gradient-step point to the next iterate and
-    ``objective(X, H)`` scores an iterate for the trace and the stopping
-    rule. One product ``H = U @ X @ G`` per iterate serves both: the
-    objective reads it, and by linearity the product at the extrapolated
-    point ``Z = X_new + c (X_new - X)`` is ``H_new + c (H_new - H)``.
-    ``H0`` is the product of ``X0`` (formed here when ``None``). Returns
-    the final iterate and its product, the objective trace, the
-    iteration count and the termination reason.
+    The gradient comes from the Gram pieces of the problem ``P``, and
+    ``prox`` maps a gradient-step point to the next iterate. Each iterate
+    is scored here, for the trace and the stopping rule: by
+    :meth:`_Problem.cost` when ``penalty`` is ``None``, else by
+    ``0.5 * P.cost(X, H) + penalty(X)``. One product ``H = U @ X @ G``
+    per iterate serves both the score and the gradient: by linearity the
+    product at the extrapolated point ``Z = X_new + c (X_new - X)`` is
+    ``H_new + c (H_new - H)``. ``H0`` is the product of ``X0`` (formed
+    here when ``None``). Returns the final iterate and its product, the
+    objective trace, the iteration count and the termination reason.
     """
+
+    def objective(X, H):
+        cost = P.cost(X, H)
+        return cost if penalty is None else 0.5 * cost + penalty(X)
+
     U, G, M = P.U, P.G, P.M
     X = Z = X0.copy()
     H = HZ = U @ X @ G if H0 is None else H0
@@ -528,21 +512,22 @@ def _alpha_vector(alpha, r):
     return a
 
 
-def _proximal_solve(Y, D, B, k, X0, stop, ridge, nonneg, prox_objective):
+def _proximal_solve(Y, D, B, k, X0, stop, ridge, nonneg, prox_penalty):
     """Body shared by :func:`iht`, :func:`block_fista` and :func:`mixed_fista`.
 
-    After the checks of :func:`_solve`, ``prox_objective(P, eta)``
+    After the checks of :func:`_solve`, ``prox_penalty(P, eta)``
     validates the solver's own parameters and returns the prox and the
-    traced objective for the problem ``P`` and the stepsize. The top-``k``
-    support of the last iterate of :func:`_fista_core` is refit by
-    :func:`debias` (nonnegative when ``nonneg``).
+    penalty (``None`` for none) for the problem ``P`` and the stepsize;
+    :func:`_fista_core` scores the iterates from them. The top-``k``
+    support of its last iterate is refit by :func:`debias` (nonnegative
+    when ``nonneg``).
     """
 
     def run(P):
         eta = _stepsize(P.D, P.op)
-        prox, objective = prox_objective(P, eta)
+        prox, penalty = prox_penalty(P, eta)
         X, _, trace, iterations, termination = _fista_core(
-            P, prox, objective, P.start(X0), eta, stop or StoppingRule()
+            P, prox, penalty, P.start(X0), eta, stop or StoppingRule()
         )
         codes = _debias(P, _truncate_support(X, k), k, nonneg, ridge)
         return codes, trace, iterations, termination
@@ -561,12 +546,11 @@ def block_fista(Y, D, B, alpha, k, X0=None, stop=None, nonneg=False, ridge=0.0):
     (nonnegative least squares when ``nonneg``).
     """
 
-    def prox_objective(P, eta):
+    def prox_penalty(P, eta):
         lam = _alpha_vector(alpha, P.r) * _lambda_max(P.M)
-        prox, penalty = _l1_prox_penalty(eta, lam, nonneg)
-        return prox, _penalized_objective(P, penalty)
+        return _l1_prox_penalty(eta, lam, nonneg)
 
-    return _proximal_solve(Y, D, B, k, X0, stop, ridge, nonneg, prox_objective)
+    return _proximal_solve(Y, D, B, k, X0, stop, ridge, nonneg, prox_penalty)
 
 
 def _l11_prox_penalty(a, M, eta):
@@ -593,12 +577,11 @@ def mixed_fista(Y, D, B, alpha, k, X0=None, stop=None, ridge=0.0):
     debiasing follow :func:`block_fista`.
     """
 
-    def prox_objective(P, eta):
+    def prox_penalty(P, eta):
         if not np.isscalar(alpha):
             raise ValueError("alpha must be a scalar ratio")
         if alpha < 0 or alpha > 1:
             raise ValueError("alpha must lie in [0, 1]")
-        prox, penalty = _l11_prox_penalty(float(alpha), P.M, eta)
-        return prox, _penalized_objective(P, penalty)
+        return _l11_prox_penalty(float(alpha), P.M, eta)
 
-    return _proximal_solve(Y, D, B, k, X0, stop, ridge, False, prox_objective)
+    return _proximal_solve(Y, D, B, k, X0, stop, ridge, False, prox_penalty)

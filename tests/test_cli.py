@@ -430,3 +430,89 @@ def test_dlra_bad_second_mode_or_inits_is_a_usage_error(msc_files, capsys, argv,
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp / "out").exists()
+
+
+@pytest.fixture
+def broken_files(msc_files):
+    """``msc_files`` (12 rows, 10 mixing rows) with broken copies: a
+    dictionary whose column 3 is zero, data with a NaN in row 5, data one
+    row short, a mixing factor with a NaN, the mask ``3`` and a mask with
+    the out-of-range index 12."""
+    paths, tmp = msc_files
+    D, Y, B = (read_matrix_csv(paths[name]) for name in ("D", "Y", "B"))
+    D[:, 3] = 0.0
+    Y_nan, B_nan = Y.copy(), B.copy()
+    Y_nan[5, 0] = B_nan[1, 1] = np.nan
+    for name, M in (("zero_column", D), ("nan_data", Y_nan), ("short_data", Y[:-1]),
+                    ("nan_mixing", B_nan)):
+        paths[name] = tmp / f"{name}.csv"
+        write_matrix_csv(paths[name], M)
+    for name, text in (("mask", "3\n"), ("far_mask", "3 12\n")):
+        paths[name] = tmp / f"{name}.txt"
+        paths[name].write_text(text)
+    paths["missing"] = tmp / "nope.csv"
+    return paths, tmp
+
+
+MISSING = "cannot read {missing}: No such file or directory"
+
+
+@pytest.mark.parametrize("command, files, flag, message", [
+    ("solve", {"--dict": "zero_column"}, "--dict",
+     "column 3 has zero norm and cannot be normalized"),
+    ("solve", {"--data": "nan_data"}, "--data", "Y contains non-finite entries"),
+    ("solve", {"--data": "short_data"}, "--data", "Y has shape (11, 10), expected (12, 10)"),
+    ("solve", {"--mixing": "nan_mixing"}, "--mixing", "B contains non-finite entries"),
+    ("solve", {"--data": "missing"}, "--data", MISSING),
+    ("solve", {"--mixing": "missing"}, "--mixing", MISSING),
+    ("run", {"--dict": "zero_column"}, "--dict",
+     "column 3 has zero norm and cannot be normalized"),
+    ("run", {"--data": "nan_data"}, "--data", "data contains non-finite entries"),
+    ("run", {"--data": "short_data"}, "--data",
+     "data has shape (11, 10), expected 12 entries in mode 0"),
+    ("run", {"--dict": "missing"}, "--dict", MISSING),
+    ("run", {"--dict2": "zero_column"}, "--dict2",
+     "column 3 has zero norm and cannot be normalized"),
+    ("complete", {"--mask": "far_mask"}, "--mask", "missing row indices outside [0, 12)"),
+    ("complete", {"--mask": "missing"}, "--mask", MISSING),
+    ("complete", {"--data": "short_data"}, "--data",
+     "data has 11 rows, expected 12 (rows of the dictionary)"),
+    ("complete", {"--data": "nan_data"}, "--data",
+     "observed data contains non-finite entries"),
+    ("complete", {"--dict": "zero_column"}, "--dict",
+     "column 3 has zero norm and cannot be normalized"),
+])
+def test_bad_input_file_is_a_usage_error(broken_files, capsys, command, files, flag,
+                                         message):
+    """A file that cannot be read, or whose contents the library rejects,
+    is a usage error naming its flag (exit status 2) with the library's
+    message, and no output directory is created."""
+    paths, tmp = broken_files
+    given = {"--data": "Y", "--dict": "D", **files}
+    if command == "solve":
+        main, argv = msc_main, ["solve", "--solver", "homp", "--k", "2"]
+        given.setdefault("--mixing", "B")
+    else:
+        main, argv = dlra_main, [command, "--rank", "2", "--k", "2"]
+        if command == "run":
+            argv += ["--model", "dmf"] if "--dict2" not in files else [
+                "--model", "dcpd", "--k2", "2"]
+        else:
+            given.setdefault("--mask", "mask")
+    for option, name in given.items():
+        argv += [option, str(paths[name])]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp / "out")])
+    assert exc.value.code == 2
+    message = message.format(missing=paths["missing"])
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not (tmp / "out").exists()
+
+
+def test_dlra_complete_ignores_the_masked_rows_of_the_data(completion_files):
+    """The completion replaces the masked rows, so they may hold NaN."""
+    clean = _complete_with_mask(completion_files, "2 25")
+    Y = read_matrix_csv(completion_files / "Y.csv")
+    Y[[2, 25]] = np.nan
+    write_matrix_csv(completion_files / "Y.csv", Y)
+    assert _complete_with_mask(completion_files, "25 2") == clean

@@ -297,9 +297,9 @@ class TestInnerSolves:
         else:
             core = dlra._fista_core
 
-            def fresh_core(P, prox, objective, X0, eta, stop, H0=None):
+            def fresh_core(P, prox, penalty, X0, eta, stop, H0=None):
                 handed.append(H0 is not None)
-                return core(P, prox, objective, X0, eta, stop)
+                return core(P, prox, penalty, X0, eta, stop)
 
             monkeypatch.setattr(dlra, "_fista_core", fresh_core)
         assert_same_fit(reused, fit_two_mode(T, model, 81))

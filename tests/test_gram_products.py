@@ -1,7 +1,7 @@
 """Property tests for the reused products: the one-product FISTA loop
 against the two-product loop it replaced, the product it returns against
-a fresh one, and the fit's tensor cost against the three-way
-reconstruction."""
+a fresh one, ``_Problem.cost`` as the score of every FISTA iterate, and
+the fit's tensor cost against the three-way reconstruction."""
 
 import warnings
 
@@ -17,10 +17,8 @@ from mscdlra.prox import hard_threshold_columns
 from mscdlra.solvers import (
     StoppingRule,
     _fista_core,
-    _gram_cost,
     _l1_prox_penalty,
     _l11_prox_penalty,
-    _penalized_objective,
     _stepsize,
 )
 
@@ -49,16 +47,23 @@ def reference_fista_core(P, prox, objective, X0, eta, stop):
     return X, trace
 
 
-def prox_and_objective(name, P, eta, alpha, k):
-    """The prox and traced objective of one solver family on ``P``."""
+def prox_and_penalty(name, P, eta, alpha, k):
+    """The prox and penalty (``None`` for hard thresholding) of one solver
+    family on ``P``."""
     if name == "hard":
-        return (lambda V: hard_threshold_columns(V, k)), _gram_cost(P)
+        return (lambda V: hard_threshold_columns(V, k)), None
     if name == "l11":
-        prox, penalty = _l11_prox_penalty(alpha, P.M, eta)
-    else:
-        lam = alpha * np.abs(P.M).max(axis=0)
-        prox, penalty = _l1_prox_penalty(eta, lam, name == "nonneg_soft")
-    return prox, _penalized_objective(P, penalty)
+        return _l11_prox_penalty(alpha, P.M, eta)
+    lam = alpha * np.abs(P.M).max(axis=0)
+    return _l1_prox_penalty(eta, lam, name == "nonneg_soft")
+
+
+def reference_objective(P, penalty):
+    """The objective of :func:`reference_fista_core`, built from
+    ``P.cost`` and ``penalty`` as :func:`_fista_core` scores its iterates."""
+    if penalty is None:
+        return P.cost
+    return lambda X: 0.5 * P.cost(X) + penalty(X)
 
 
 def recording(prox, iterates):
@@ -96,13 +101,14 @@ def fista_problems(draw):
 def test_fista_core_matches_two_product_reference(case):
     P, X0, name, alpha, k = case
     eta = _stepsize(P.D, P.op)
-    prox, objective = prox_and_objective(name, P, eta, alpha, k)
+    prox, penalty = prox_and_penalty(name, P, eta, alpha, k)
     iterates, ref_iterates = [X0], [X0]
     _, _, trace, _, _ = _fista_core(
-        P, recording(prox, iterates), objective, X0, eta, TWENTY_FIVE
+        P, recording(prox, iterates), penalty, X0, eta, TWENTY_FIVE
     )
     _, ref_trace = reference_fista_core(
-        P, recording(prox, ref_iterates), objective, X0, eta, TWENTY_FIVE
+        P, recording(prox, ref_iterates), reference_objective(P, penalty), X0, eta,
+        TWENTY_FIVE,
     )
     # once the objective is flat to the last bit, where an iterate still
     # moves by about sqrt(eps), one loop may stop before the other; compare
@@ -120,15 +126,34 @@ def test_fista_core_matches_two_product_reference(case):
 def test_returned_product_is_fresh_and_carries_bit_identically(case):
     P, X0, name, alpha, k = case
     eta = _stepsize(P.D, P.op)
-    prox, objective = prox_and_objective(name, P, eta, alpha, k)
-    X, H, _, _, _ = _fista_core(P, prox, objective, X0, eta, TWENTY_FIVE)
+    prox, penalty = prox_and_penalty(name, P, eta, alpha, k)
+    X, H, _, _, _ = _fista_core(P, prox, penalty, X0, eta, TWENTY_FIVE)
     assert np.array_equal(H, P.U @ X @ P.G)
     # a second run from (X, H) equals the same run forming H itself
-    carried = _fista_core(P, prox, objective, X, eta, TWENTY_FIVE, H)
-    fresh = _fista_core(P, prox, objective, X, eta, TWENTY_FIVE)
+    carried = _fista_core(P, prox, penalty, X, eta, TWENTY_FIVE, H)
+    fresh = _fista_core(P, prox, penalty, X, eta, TWENTY_FIVE)
     assert np.array_equal(carried[0], fresh[0])
     assert np.array_equal(carried[1], fresh[1])
     assert carried[2:] == fresh[2:]
+
+
+@settings(max_examples=60)
+@given(fista_problems())
+def test_problem_cost_scores_every_fista_iterate(case):
+    """``P.cost`` with and without the product, against the dense residual,
+    and as the score of every iterate that :func:`_fista_core` traces."""
+    P, X0, name, alpha, k = case
+    assert P.cost(X0) == P.cost(X0, P.U @ X0 @ P.G)
+    R = P.Y - P.D @ X0 @ P.op.materialize().T
+    assert abs(P.cost(X0) - float(np.sum(R * R))) <= 1e-10 * P.normY_sq
+    eta = _stepsize(P.D, P.op)
+    prox, penalty = prox_and_penalty(name, P, eta, alpha, k)
+    iterates = [X0]
+    _, _, trace, _, _ = _fista_core(
+        P, recording(prox, iterates), penalty, X0, eta, TWENTY_FIVE
+    )
+    score = reference_objective(P, penalty)
+    assert trace == [score(X) for X in iterates]
 
 
 @st.composite

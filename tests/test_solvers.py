@@ -687,7 +687,8 @@ def test_non_finite_start_names_x0(name):
 
 def test_homp_zero_start_builds_no_dense_residual(monkeypatch):
     """The greedy offer of ``homp`` is scored in the Gram domain: neither
-    the dense residual nor the mixing matrix is formed."""
+    the dense residual (the scorer of ``trick_omp``) nor the mixing matrix
+    is formed."""
     calls = []
 
     def record(name, fn):
@@ -696,7 +697,9 @@ def test_homp_zero_start_builds_no_dense_residual(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(solvers, "residual_cost", record("residual_cost", residual_cost))
+    monkeypatch.setattr(
+        solvers, "_residual_cost", record("_residual_cost", solvers._residual_cost)
+    )
     monkeypatch.setattr(
         MixingOperator, "materialize", record("materialize", MixingOperator.materialize)
     )

@@ -19,6 +19,9 @@ Groups:
   instances of ``--seed``;
 * ``nndcpd_fit.ipalm``: ``ipalm`` on the two-mode model, started from the
   ``init_by_lra`` output;
+* ``msc_solve.block_fista_nn``: ``block_fista(..., nonneg=True)`` with the
+  workload's ``alpha`` and stopping rule on the ``msc_solve`` instances,
+  the nonnegative prox followed by the NNLS refit;
 * ``dnmf.<fit>``: the nonnegative matrix model on the absolute values of
   the ``dmf_fit`` data;
 * ``cpd.<fit>`` and ``nncpd.<fit>``: the one-mode signed and nonnegative
@@ -115,6 +118,13 @@ def workload_groups(name, seed):
     for inst in insts:
         for m in w.methods:
             groups[f"{name}.{m}"].append(lambda m=m, inst=inst: w.call(m, inst))
+    if name == "msc_solve":
+        stop = pkg.StoppingRule(p["rel_tol"], p["max_iter"])
+        groups["msc_solve.block_fista_nn"] = [
+            lambda inst=inst: pkg.block_fista(inst["Y"], inst["D"], inst["B"], p["alpha"],
+                                              p["k"], stop=stop, nonneg=True)
+            for inst in insts
+        ]
     if name == "dmf_fit":
         for i, inst in enumerate(insts[:EXTRA_INSTANCES]):
             Y = np.abs(inst["Y"])
