@@ -127,9 +127,10 @@ def msc_main(argv=None):
     try:
         rep = MSC_STRATEGIES[args.solver].run(Y, D, B, args.k, args.alpha)
     except ValueError as exc:
-        # the solvers name a rejected k or alpha; that is a usage error
+        # the solvers name a rejected k, alpha or mixing factor; that is a usage error
         msg = str(exc)
-        flag = "--k" if "k=" in msg else "--alpha" if "alpha" in msg else None
+        flag = ("--k" if "k=" in msg else "--alpha" if "alpha" in msg
+                else "--mixing" if "mixing factor" in msg else None)
         if flag is None:
             raise
         p_solve.error(f"argument {flag}: {msg}")

@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    SUPPORT_TOL,
     Dictionary,
     MixingOperator,
     SparseCodes,
+    _masked,
     _Problem,
     _residual_cost,
+    _support_mask,
     as_matrix,
     dict_matrix,
     normalize_columns,
@@ -198,7 +199,7 @@ def _tuned_fista(P, sigma_d_sq, alpha, k, tau, X_warm, stop, nonneg, tuner):
         X, H, _, its, _ = _fista_core(P, prox, penalty, X, eta, stop, H)
         iterations += its
         rounds += 1
-        nnz = np.count_nonzero(np.abs(X) > SUPPORT_TOL, axis=0)
+        nnz = np.count_nonzero(_support_mask(X), axis=0)
         in_window = np.all((k <= nnz) & (nnz <= k + tau))
         if in_window or rounds > tuner.max_tuner_rounds:
             return X, alpha, not in_window, iterations, rounds
@@ -258,12 +259,6 @@ def _sparse_project(V, k, nonneg):
     return hard_threshold_columns(np.maximum(V, 0.0) if nonneg else V, k)
 
 
-def _masked(X):
-    """``X`` with the entries of magnitude at most ``SUPPORT_TOL`` zeroed,
-    as in :meth:`SparseCodes.from_values`."""
-    return np.where(np.abs(X) > SUPPORT_TOL, X, 0.0)
-
-
 class _InertialCoder:
     """Coding step of one dictionary-constrained mode of :func:`ipalm`.
 
@@ -273,9 +268,9 @@ class _InertialCoder:
     inertial hard-thresholding step with inertia ``(l - 1) / (l + 2)`` at
     its ``l``-th call and stepsize ``mu / (||U|| ||G||)``, from the Gram
     ``G`` and data product of the mixing operator. ``factor()`` is
-    ``D @ X``; ``values()`` is ``X`` with entries of magnitude at most
-    ``SUPPORT_TOL`` zeroed. It takes no inner iterations, tunes no ratio
-    and never reports a capped tuner."""
+    ``D @ X``; ``values()`` is ``X`` masked by the support rule
+    (:func:`mscdlra.linalg._masked`). It takes no inner iterations, tunes
+    no ratio and never reports a capped tuner."""
 
     inner_iterations = tuner_rounds = 0
 
@@ -512,10 +507,11 @@ def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
 
     Each iteration forms the mixing operator's Gram matrix, whose
     construction rejects a factor gone non-finite, but not its spectrum,
-    and scores the iterate with entries of magnitude at most
-    ``SUPPORT_TOL`` zeroed. Support lists are built once, for the best
-    iterate returned. All-zero data is rejected, and a factor B that
-    comes out all zero ends the fit (see :func:`_alternate`).
+    and scores the iterate with the entries outside the package's one
+    support rule (:func:`mscdlra.linalg._support_mask`) zeroed. Support
+    lists are built once, for the best iterate returned. All-zero data
+    is rejected, and a factor B that comes out all zero ends the fit (see
+    :func:`_alternate`).
     """
     if mu > 1.0 or mu <= 0.0:
         raise ValueError("stepsize safeguard mu must lie in (0, 1]")

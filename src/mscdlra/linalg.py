@@ -10,7 +10,8 @@ Conventions used throughout the package:
   which exposes Gram and data products without materializing the product
   when it is large; ``_kr_gram`` and ``_kr_product`` form all of them,
 * a support is a list with one strictly increasing index array per code
-  column.
+  column; an entry is nonzero when :func:`_support_mask` says so, and a
+  support given from outside is canonicalized once, where it enters.
 
 All objects are treated as immutable after construction and every function
 here is deterministic and reentrant.
@@ -282,7 +283,8 @@ def as_mixing(B):
 
 
 def canonical_support(S, d):
-    """Canonicalize a support: sorted unique in-range index arrays."""
+    """Canonicalize a support given from outside: sorted unique in-range
+    index arrays. Supports built inside the package already are."""
     out = []
     for i, idx in enumerate(S):
         a = np.unique(np.asarray(idx, dtype=int))
@@ -292,10 +294,21 @@ def canonical_support(S, d):
     return out
 
 
-def support_from_values(X, tol=SUPPORT_TOL):
-    """Per-column index sets of entries with magnitude above ``tol``."""
-    mask = np.abs(np.asarray(X, dtype=float)) > tol
-    return [np.flatnonzero(m) for m in mask.T]
+def _support_mask(X):
+    """The package's one nonzero rule: the entries of ``X`` of magnitude
+    above ``SUPPORT_TOL``. Every support, masked code and nonzero count
+    is decided here."""
+    return np.abs(X) > SUPPORT_TOL
+
+
+def _masked(X):
+    """``X`` with the entries outside :func:`_support_mask` zeroed."""
+    return np.where(_support_mask(X), X, 0.0)
+
+
+def support_from_values(X):
+    """Per-column index sets of the entries in :func:`_support_mask`."""
+    return [np.flatnonzero(m) for m in _support_mask(np.asarray(X, dtype=float)).T]
 
 
 @dataclass(frozen=True)
@@ -306,14 +319,10 @@ class SparseCodes:
     support: list
 
     @classmethod
-    def from_values(cls, values, tol=SUPPORT_TOL):
-        V = np.asarray(values, dtype=float)
-        mask = np.abs(V) > tol
-        return cls(np.where(mask, V, 0.0), [np.flatnonzero(m) for m in mask.T])
-
-    @classmethod
-    def zeros(cls, d, r):
-        return cls(np.zeros((d, r)), [np.empty(0, dtype=int) for _ in range(r)])
+    def from_values(cls, values):
+        """The :func:`_masked` values and the supports they leave."""
+        V = _masked(np.asarray(values, dtype=float))
+        return cls(V, [np.flatnonzero(v) for v in V.T])
 
     @property
     def shape(self):
@@ -385,19 +394,18 @@ def _assemble_normal_system(Dm, U, V, N, S):
 
 
 def _solve_on_support(P, S, ridge, solve):
-    """Support checks, normal system and scatter shared by the
-    fixed-support solvers on the problem ``P``; ``solve(G, g)`` returns
-    the unknowns of the system."""
+    """Normal system and scatter shared by the fixed-support solvers on
+    the problem ``P``, for a canonical support ``S`` (see
+    :func:`canonical_support`); ``solve(G, g)`` returns the unknowns of
+    the system. ``ridge`` and the column count of ``S`` are checked here."""
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     if len(S) != P.r:
         raise ValueError(f"support has {len(S)} columns, mixing has {P.r}")
-    S = canonical_support(S, P.d)
-    if sum(len(s) for s in S) == 0:
-        return SparseCodes.zeros(P.d, P.r)
-    G, g, idx, col = _assemble_normal_system(P.D, P.U, P.G, P.N, S)
     X = np.zeros((P.d, P.r))
-    X[idx, col] = solve(G, g)
+    if any(len(s) for s in S):
+        G, g, idx, col = _assemble_normal_system(P.D, P.U, P.G, P.N, S)
+        X[idx, col] = solve(G, g)
     return SparseCodes.from_values(X)
 
 
@@ -452,7 +460,8 @@ def fixed_support_ls(Y, D, B, S, ridge=0.0, auto_ridge=True):
     -------
     SparseCodes
     """
-    return _ls_on_support(_Problem(Y, D, B), S, ridge, auto_ridge)
+    P = _Problem(Y, D, B)
+    return _ls_on_support(P, canonical_support(S, P.d), ridge, auto_ridge)
 
 
 def residual_cost(Y, D, X, B):

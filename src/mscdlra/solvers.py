@@ -463,12 +463,12 @@ def fixed_support_nnls(Y, D, B, S, ridge=0.0):
     small ridge, through a Cholesky factor fed to the Lawson-Hanson
     solver. Validates its arguments like :func:`fixed_support_ls`.
     """
-    return _nnls_on_support(_Problem(Y, D, B), S, ridge)
+    P = _Problem(Y, D, B)
+    return _nnls_on_support(P, canonical_support(S, P.d), ridge)
 
 
 def _debias(P, S, k, nonneg, ridge):
-    """:func:`debias` on the problem ``P``."""
-    S = canonical_support(S, P.d)
+    """:func:`debias` on the problem ``P`` and a canonical support ``S``."""
     solve = _nnls_on_support if nonneg else _ls_on_support
     if any(len(s) > k for s in S):
         S = _truncate_support(solve(P, S, ridge).values, k)
@@ -483,7 +483,8 @@ def debias(Y, D, B, S, k, nonneg=False, ridge=0.0):
     again. With ``nonneg`` the refit is a nonnegative least squares with
     a small ridge, which may leave fewer than ``k`` nonzeros.
     """
-    return _debias(_Problem(Y, D, B), S, k, nonneg, ridge)
+    P = _Problem(Y, D, B)
+    return _debias(P, canonical_support(S, P.d), k, nonneg, ridge)
 
 
 def _l1_prox_penalty(eta, lam, nonneg):

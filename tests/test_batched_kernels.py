@@ -1,6 +1,7 @@
 """Property tests: each whole-matrix kernel equals a per-column reference,
 bit for bit, and the shared-Gram OMP kernel equals its list-built
-reference."""
+reference. Every user of the support rule is held to ``|x| > SUPPORT_TOL``
+on values drawn at the threshold."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mscdlra import dlra
+from mscdlra.dlra import ModeDictionary, TunerConfig, _InertialCoder
 from mscdlra.linalg import (
     SUPPORT_TOL,
     SparseCodes,
     _assemble_normal_system,
+    _Problem,
+    normalize_columns,
     support_from_values,
 )
 from mscdlra.prox import (
@@ -20,7 +25,7 @@ from mscdlra.prox import (
     nonneg_soft_threshold,
     soft_threshold,
 )
-from mscdlra.solvers import _omp_gram, _solve_spd
+from mscdlra.solvers import StoppingRule, _omp_gram, _solve_spd
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 shapes = st.tuples(st.integers(1, 12), st.integers(1, 6))
@@ -89,9 +94,20 @@ def code_matrices(draw):
     return X
 
 
+def reference_support(X):
+    return [np.flatnonzero(np.abs(X[:, i]) > SUPPORT_TOL) for i in range(X.shape[1])]
+
+
+def reference_masked(X):
+    clean = np.zeros_like(X)
+    for i, idx in enumerate(reference_support(X)):
+        clean[idx, i] = X[idx, i]
+    return clean
+
+
 @given(code_matrices())
 def test_support_from_values_per_column(X):
-    ref = [np.flatnonzero(np.abs(X[:, i]) > SUPPORT_TOL) for i in range(X.shape[1])]
+    ref = reference_support(X)
     out = support_from_values(X)
     assert len(out) == len(ref)
     for a, b in zip(out, ref):
@@ -101,13 +117,49 @@ def test_support_from_values_per_column(X):
 @given(code_matrices())
 def test_sparse_codes_from_values_per_column(X):
     codes = SparseCodes.from_values(X)
-    clean = np.zeros_like(X)
-    for i in range(X.shape[1]):
-        idx = np.flatnonzero(np.abs(X[:, i]) > SUPPORT_TOL)
-        clean[idx, i] = X[idx, i]
-        assert np.array_equal(codes.support[i], idx)
-    assert np.array_equal(codes.values, clean)
+    for a, b in zip(codes.support, reference_support(X), strict=True):
+        assert np.array_equal(a, b)
+    assert np.array_equal(codes.values, reference_masked(X))
     assert not np.signbit(codes.values[codes.values == 0.0]).any()
+
+
+@given(code_matrices())
+def test_ipalm_scores_the_masked_values(X):
+    """``ipalm`` scores its coder's ``values()``: the iterate masked by the
+    support rule (with k = d the start projection keeps every entry)."""
+    d = X.shape[0]
+    coder = _InertialCoder(ModeDictionary(normalize_columns(np.eye(d))[0], d), X, 1.0)
+    out = coder.values()
+    assert np.array_equal(out, reference_masked(X))
+    assert not np.signbit(out[out == 0.0]).any()
+
+
+def tuned_window_counts(X):
+    """The per-column nonzero counts that ``_tuned_fista`` reads off an
+    inner iterate ``X``, recovered from its ratio updates. The inner solve
+    is replaced by one that returns ``X``. With ``tau = 0`` the window is
+    met only when every count equals ``k``; otherwise one update round
+    halves the ratio of each column whose count is at most ``k`` and keeps
+    the others. So each count is the number of ``k < d`` at which the
+    window is missed and the column's ratio kept."""
+    d, r = X.shape
+    P = _Problem(np.ones((d, 1)), np.eye(d), np.ones((1, r)))
+    tuner = TunerConfig(tau=0, decrease_factor=2.0, increase_factor=1.0,
+                        max_tuner_rounds=1)
+    counts = np.zeros(r, dtype=int)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dlra, "_fista_core", lambda *args: (X, None, [], 0, "tolerance"))
+        for k in range(d):
+            _, alpha, capped, _, _ = dlra._tuned_fista(
+                P, 1.0, np.full(r, 0.5), k, 0, X, StoppingRule(), False, tuner)
+            counts += capped & (alpha == 0.5)
+    return counts
+
+
+@given(code_matrices())
+def test_tuner_window_count_per_column(X):
+    ref = [len(idx) for idx in reference_support(X)]
+    assert np.array_equal(tuned_window_counts(X), ref)
 
 
 def reference_normal_system(Dm, U, V, N, S):

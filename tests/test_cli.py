@@ -57,6 +57,24 @@ def test_msc_solve_rejected_argument_is_a_usage_error(msc_files, capsys, solver,
     assert not (tmp / "run" / "codes.csv").exists()
 
 
+def test_msc_solve_rank_deficient_mixing_is_a_usage_error(tmp_path, capsys):
+    """``trick_omp`` rejects a mixing factor with two equal columns; that
+    is a usage error of ``--mixing`` (exit status 2, no output directory)."""
+    rng = np.random.default_rng(0)
+    B = rng.standard_normal((6, 1)).repeat(2, axis=1)
+    argv = ["solve", "--solver", "trick_omp", "--k", "2", "--out", str(tmp_path / "out")]
+    for flag, M in (("--data", rng.standard_normal((8, 6))),
+                    ("--dict", rng.standard_normal((8, 10))), ("--mixing", B)):
+        write_matrix_csv(tmp_path / f"{flag[2:]}.csv", M)
+        argv += [flag, str(tmp_path / f"{flag[2:]}.csv")]
+    with pytest.raises(SystemExit) as exc:
+        msc_main(argv)
+    assert exc.value.code == 2
+    assert ("argument --mixing: mixing factor is rank deficient"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_msc_bench_with_config(tmp_path, capsys):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(

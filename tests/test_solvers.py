@@ -1,3 +1,4 @@
+import functools
 import itertools
 import warnings
 
@@ -628,6 +629,24 @@ def test_fixed_support_arguments_validated(solve):
             solve(Y, D, B, wrong)
     with pytest.raises(ValueError, match="ridge must be nonnegative"):
         solve(Y, D, B, S, ridge=-1e-3)
+
+
+@pytest.mark.parametrize("name", ["fixed_support_ls", "fixed_support_nnls", "debias"])
+def test_support_from_outside_is_canonicalized(name):
+    """A support given from outside may be unsorted, repeat indices or
+    leave a column empty: the codes are those of its sorted unique form,
+    bit for bit. An index outside [0, d) names its column."""
+    inst = boundary_instance()
+    solve = functools.partial(PUBLIC_CALLS[name], inst["Y"], inst["D"], inst["B"])
+    ref = solve([np.array([1, 3, 5]), np.array([], dtype=int), np.array([0, 17])])
+    got = solve([[5, 1, 5, 3], [], np.array([17, 0, 0, 17])])
+    assert got.values.tobytes() == ref.values.tobytes()
+    for a, b in zip(got.support, ref.support, strict=True):
+        assert np.array_equal(a, b)
+    for S, i in (([[1], [18], []], 1), ([[-1, 2], [], [3]], 0)):
+        with pytest.raises(ValueError,
+                           match=rf"^support of column {i} has indices outside \[0, 18\)"):
+            solve(S)
 
 
 def boundary_instance():
