@@ -36,6 +36,7 @@ from .linalg import (
 )
 from .prox import hard_threshold_columns
 from .solvers import (
+    InnerWork,
     StoppingRule,
     _alpha_vector,
     _check_sparsity,
@@ -131,9 +132,11 @@ class TunerConfig:
 
 @dataclass
 class DlraReport:
-    """Best stored iterate of a run and its history; ``inner_iterations``
-    and ``tuner_rounds`` (one inner solve each) total those of
-    :func:`ao_dlra` over all modes, and stay 0 for :func:`ipalm`."""
+    """Best stored iterate of a run and its history. ``best_iteration`` is
+    the outer iteration (from 1) that scored ``best_cost``. ``inner_work``
+    sums the :class:`InnerWork` of :func:`ao_dlra`'s tuned inner solves
+    over all modes and is empty for :func:`ipalm`; ``inner_iterations``
+    and ``tuner_rounds`` (one proximal-gradient run each) are read off it."""
 
     best_codes: dict
     best_factors: dict
@@ -142,8 +145,14 @@ class DlraReport:
     alpha_trace: list
     iterations: int
     notes: list = field(default_factory=list)
-    inner_iterations: int = 0
-    tuner_rounds: int = 0
+    inner_work: InnerWork = InnerWork()
+    best_iteration: int = 0
+    inner_iterations: int = field(init=False)
+    tuner_rounds: int = field(init=False)
+
+    def __post_init__(self):
+        self.inner_iterations = self.inner_work.iterations
+        self.tuner_rounds = self.inner_work.runs
 
 
 def _start_shapes(model, data_shape):
@@ -184,8 +193,10 @@ def _tuned_fista(P, sigma_d_sq, alpha, k, tau, X_warm, stop, nonneg, tuner):
     that round's columnwise l1 prox and penalty, started from the previous
     round's iterate and its product ``U @ X @ G``.
 
-    Returns the raw (pre-debias) iterate, the adapted ratios, whether
-    the round cap was hit, and the inner iterations and rounds taken.
+    Returns the raw (pre-debias) iterate, the adapted ratios and the
+    :class:`InnerWork` of its rounds; a call that hits the round cap
+    counts once in ``tuner_capped``, and on each side of the window where
+    a column missed it.
     """
     lam_max = _lambda_max(P.M)
     eta = _stepsize(P.D, P.op, sigma_d_sq)
@@ -193,16 +204,18 @@ def _tuned_fista(P, sigma_d_sq, alpha, k, tau, X_warm, stop, nonneg, tuner):
     H = None
     alpha = np.array(alpha, dtype=float)
 
-    iterations = rounds = 0
+    work = InnerWork()
     while True:
         prox, penalty = _l1_prox_penalty(eta, alpha * lam_max, nonneg)
-        X, H, _, its, _ = _fista_core(P, prox, penalty, X, eta, stop, H)
-        iterations += its
-        rounds += 1
+        X, H, _, run = _fista_core(P, prox, penalty, X, eta, stop, H)
+        work += run
         nnz = np.count_nonzero(_support_mask(X), axis=0)
-        in_window = np.all((k <= nnz) & (nnz <= k + tau))
-        if in_window or rounds > tuner.max_tuner_rounds:
-            return X, alpha, not in_window, iterations, rounds
+        if np.all((k <= nnz) & (nnz <= k + tau)):
+            return X, alpha, work
+        if work.runs > tuner.max_tuner_rounds:
+            below, above = int(np.any(nnz < k)), int(np.any(nnz > k + tau))
+            return X, alpha, work + InnerWork(tuner_capped=1, capped_below=below,
+                                              capped_above=above)
         low = nnz <= k
         high = ~low & (nnz >= k + tau)
         alpha[low] /= tuner.decrease_factor
@@ -214,16 +227,16 @@ class _ModeCoder:
 
     Holds the mode's atom Gram, the raw iterate of its tuned convex
     solve, the ratios (and their trace, one entry per update), the
-    debiased codes, the inner stopping rule and tuner, and the inner
-    iterations and tuner rounds taken. ``factor()`` is ``D @ codes`` and
-    ``values()`` the codes, both as arrays."""
+    debiased codes, the inner stopping rule and tuner, and the running sum
+    ``work`` of the tuner's :class:`InnerWork`. ``factor()`` is ``D @
+    codes`` and ``values()`` the codes, both as arrays."""
 
     def __init__(self, mode, X_init, r, stop, tuner):
         self.mode, self.stop, self.tuner = mode, stop, tuner
         self.D = mode.dictionary.matrix
         self.U = self.D.T @ self.D
         self.sigma_d_sq = spectral_norm_sq(self.D)
-        self.inner_iterations = self.tuner_rounds = 0
+        self.work = InnerWork()
         self.X_raw = np.array(X_init, dtype=float)
         self.codes = SparseCodes.from_values(self.X_raw)
         self.alpha = _alpha_vector(tuner.alpha0, r)
@@ -242,17 +255,16 @@ class _ModeCoder:
         Returns whether the cap was hit."""
         k, nonneg = self.mode.k, self.mode.nonneg
         P = _Problem(Ymat, self.mode.dictionary, op, self.U)
-        self.X_raw, self.alpha, capped, iterations, rounds = _tuned_fista(
+        self.X_raw, self.alpha, work = _tuned_fista(
             P, self.sigma_d_sq, self.alpha, k, self.tuner.tau, self.X_raw, self.stop,
             nonneg, self.tuner,
         )
-        self.inner_iterations += iterations
-        self.tuner_rounds += rounds
+        self.work += work
         self.alpha_trace.append(self.alpha.copy())
         X = self.X_raw
-        S = _truncate_support(X, k) if capped else support_from_values(X)
+        S = _truncate_support(X, k) if work.tuner_capped else support_from_values(X)
         self.codes = _debias(P, S, k, nonneg, _INNER_RIDGE)
-        return capped
+        return work.tuner_capped
 
 
 def _sparse_project(V, k, nonneg):
@@ -269,10 +281,10 @@ class _InertialCoder:
     its ``l``-th call and stepsize ``mu / (||U|| ||G||)``, from the Gram
     ``G`` and data product of the mixing operator. ``factor()`` is
     ``D @ X``; ``values()`` is ``X`` masked by the support rule
-    (:func:`mscdlra.linalg._masked`). It takes no inner iterations, tunes
-    no ratio and never reports a capped tuner."""
+    (:func:`mscdlra.linalg._masked`). It runs no inner solve (its ``work``
+    is empty), tunes no ratio and never reports a capped tuner."""
 
-    inner_iterations = tuner_rounds = 0
+    work = InnerWork()
 
     def __init__(self, mode, X_start, mu):
         self.mode, self.mu = mode, mu
@@ -348,23 +360,23 @@ def _fit_data(data, model, init):
 
 
 class _BestIterate:
-    """Lowest-cost iterate of a fit, replaced only on a strictly lower
-    cost. Codes are offered as value arrays; their supports are listed
-    once, for the reported iterate."""
+    """Lowest-cost iterate of a fit and the outer iteration that scored
+    it, replaced only on a strictly lower cost. Codes are offered as value
+    arrays; their supports are listed once, for the reported iterate."""
 
     def __init__(self):
         self.cost = None
 
-    def offer(self, cost, codes, B, C):
+    def offer(self, iteration, cost, codes, B, C):
         if self.cost is not None and not cost < self.cost:
             return
-        self.cost = cost
+        self.iteration, self.cost = iteration, cost
         self.codes = codes
         self.factors = {"B": B.copy()}
         if C is not None:
             self.factors["C"] = C.copy()
 
-    def report(self, cost_trace, alpha_trace, iterations, notes, **counts):
+    def report(self, cost_trace, alpha_trace, iterations, notes, inner_work):
         return DlraReport(
             best_codes={i: SparseCodes.from_values(X) for i, X in self.codes.items()},
             best_factors=self.factors,
@@ -373,7 +385,8 @@ class _BestIterate:
             alpha_trace=alpha_trace,
             iterations=iterations,
             notes=notes,
-            **counts,
+            inner_work=inner_work,
+            best_iteration=self.iteration,
         )
 
 
@@ -400,7 +413,7 @@ def _alternate(Ymat, Y2, Y3, B, C, coders, update, l_max, stop=None, cost_trace=
     scored, with a ``ValueError`` naming the factor.
 
     Returns the :class:`DlraReport` of the best iterate, with mode 0's
-    ratio trace and the coders' inner iterations and tuner rounds.
+    ratio trace and the sum of the coders' ``work``.
     """
     cost_trace = [] if cost_trace is None else cost_trace
     n_start = len(cost_trace)
@@ -426,16 +439,13 @@ def _alternate(Ymat, Y2, Y3, B, C, coders, update, l_max, stop=None, cost_trace=
             notes.append(f"iteration {l}: tuner hit the round cap")
         codes = {i: coder.values() for i, coder in enumerate(coders)}
         cost_trace.append(_residual_cost(Ymat, coders[0].D, codes[0], op0))
-        best.offer(cost_trace[-1], codes, B, C)
+        best.offer(l, cost_trace[-1], codes, B, C)
         if stop is not None and stop.done(cost_trace[-2], cost_trace[-1]):
             break
     if notes:
         warnings.warn(notes[-1], RuntimeWarning)
-    return best.report(
-        cost_trace, coders[0].alpha_trace, len(cost_trace) - n_start, notes,
-        inner_iterations=sum(coder.inner_iterations for coder in coders),
-        tuner_rounds=sum(coder.tuner_rounds for coder in coders),
-    )
+    return best.report(cost_trace, coders[0].alpha_trace, len(cost_trace) - n_start,
+                       notes, sum((coder.work for coder in coders), InnerWork()))
 
 
 def _coded_modes(model, start):

@@ -225,11 +225,10 @@ class MscStrategy(NamedTuple):
     """A sparse-coding heuristic: ``run(Y, D, B, k, alpha, X0=None,
     stop=None)`` returns its :class:`SolverReport`. One with a nonzero
     ``alpha_id`` takes the l1 ratio ``alpha``, which ``alpha="auto"`` tunes
-    by :func:`auto_alpha` for the solver ``alpha_base``, seeded by the id."""
+    by :func:`auto_alpha` for the strategy's own name, seeded by the id."""
 
     run: Callable
     alpha_id: int = 0
-    alpha_base: str = ""
 
 
 MSC_STRATEGIES = {
@@ -237,12 +236,11 @@ MSC_STRATEGIES = {
     "iht": MscStrategy(lambda Y, D, B, k, a, **kw: iht(Y, D, B, k, **kw)),
     "homp": MscStrategy(lambda Y, D, B, k, a, **kw: homp(Y, D, B, k, **kw)),
     "block_fista": MscStrategy(
-        lambda Y, D, B, k, a, **kw: block_fista(Y, D, B, a, k, **kw), 1, "block_fista"),
+        lambda Y, D, B, k, a, **kw: block_fista(Y, D, B, a, k, **kw), 1),
     "mixed_fista": MscStrategy(
-        lambda Y, D, B, k, a, **kw: mixed_fista(Y, D, B, a, k, **kw), 2, "mixed_fista"),
+        lambda Y, D, B, k, a, **kw: mixed_fista(Y, D, B, a, k, **kw), 2),
     "block_fista_nn": MscStrategy(
-        lambda Y, D, B, k, a, **kw: block_fista(Y, D, B, a, k, nonneg=True, **kw),
-        3, "block_fista_nn"),
+        lambda Y, D, B, k, a, **kw: block_fista(Y, D, B, a, k, nonneg=True, **kw), 3),
 }
 
 
@@ -262,7 +260,7 @@ def _point_alphas(config, **point):
     params.update(r=config.r, nonneg=config.test_name == "nn_compare", **point)
     key = [int(np.float64(float(v)).view(np.int64)) % (2**62)
            for _, v in sorted(point.items())]
-    return {s: auto_alpha(params, e.alpha_base, derive_seed(config.seed, e.alpha_id, *key))
+    return {s: auto_alpha(params, s, derive_seed(config.seed, e.alpha_id, *key))
             for s, e in tuned.items()}
 
 

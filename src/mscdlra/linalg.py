@@ -284,10 +284,15 @@ def as_mixing(B):
 
 def canonical_support(S, d):
     """Canonicalize a support given from outside: sorted unique in-range
-    index arrays. Supports built inside the package already are."""
+    index arrays. A column of float or boolean indices is rejected, an
+    empty one of any type is kept. Supports built inside the package
+    already are canonical."""
     out = []
     for i, idx in enumerate(S):
-        a = np.unique(np.asarray(idx, dtype=int))
+        a = np.asarray(idx)
+        if a.size and a.dtype.kind not in "iu":
+            raise ValueError(f"support of column {i} has {a.dtype} indices, not integers")
+        a = np.unique(a.astype(int))
         if a.size and (a[0] < 0 or a[-1] >= d):
             raise ValueError(f"support of column {i} has indices outside [0, {d})")
         out.append(a)

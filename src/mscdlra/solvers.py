@@ -27,7 +27,7 @@ import itertools
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,6 +91,29 @@ class SolverReport:
 
     def final_cost(self):
         return self.cost_trace[-1]
+
+
+@dataclass(frozen=True)
+class InnerWork:
+    """Work of the inner solves of a run, summed field by field with ``+``:
+    the runs (each proximal-gradient run, or a solver's sweeps or greedy
+    steps as one), their iterations and the runs stopped at the iteration
+    cap; the tuner calls that hit the round cap, and how many of those
+    ended with a column below the sparsity window (``capped_below``) and
+    with one above it (``capped_above``)."""
+
+    runs: int = 0
+    iterations: int = 0
+    runs_at_max_iter: int = 0
+    tuner_capped: int = 0
+    capped_below: int = 0
+    capped_above: int = 0
+
+    def __add__(self, other):
+        return InnerWork(*[getattr(self, f) + getattr(other, f) for f in _WORK_FIELDS])
+
+
+_WORK_FIELDS = [f.name for f in fields(InnerWork)]
 
 
 def _require_unit_columns(Dm, tol=1e-6):
@@ -194,7 +217,8 @@ def trick_omp(Y, D, B, k, ridge=0.0):
 
     def run(P):
         codes = _trick_omp_codes(P, k, ridge)
-        return codes, [_residual_cost(P.Y, P.D, codes.values, P.op)], k, "tolerance"
+        trace = [_residual_cost(P.Y, P.D, codes.values, P.op)]
+        return codes, trace, InnerWork(1, k), "tolerance"
 
     return _solve(Y, D, B, k, run)
 
@@ -240,15 +264,17 @@ def _solve(Y, D, B, k, run):
     Validates ``Y``, ``D`` and ``B`` into a :class:`mscdlra.linalg._Problem`
     ``P``, then checks the unit-norm atoms and ``k`` in ``[1, d]``; the
     solver's own arguments are checked by ``run(P)`` after these. ``run``
-    returns the codes, the cost trace, the iteration count and the
-    termination reason. The wall time covers the checks and the run.
+    returns the codes, the cost trace, the :class:`InnerWork` of the run
+    (whose iterations the report counts) and the termination reason. The
+    wall time covers the checks and the run.
     """
     t0 = time.perf_counter()
     P = _Problem(Y, D, B)
     _require_unit_columns(P.D)
     _check_sparsity(k, P.d)
-    codes, trace, iterations, termination = run(P)
-    return SolverReport(codes, trace, iterations, termination, time.perf_counter() - t0)
+    codes, trace, work, termination = run(P)
+    return SolverReport(codes, trace, work.iterations, termination,
+                        time.perf_counter() - t0)
 
 
 def _stepsize(Dm, op, sigma_d_sq=None):
@@ -316,7 +342,8 @@ def _homp_run(P, k, X0, stop, ridge):
     """The sweeps and final refit of :func:`homp` on the problem ``P``,
     from ``X0`` (``None`` for the zero start with the greedy candidate);
     returns the codes, the trace (start cost, one cost per sweep and the
-    refit cost), the sweep count and the termination reason."""
+    refit cost), the :class:`InnerWork` of the sweeps and the termination
+    reason."""
     n, r, U, G, M = P.D.shape[0], P.r, P.U, P.G, P.M
     X = P.start(X0)
     offer_greedy = X0 is None and r > 1 and not P.op.rank_deficient and k <= n
@@ -324,9 +351,8 @@ def _homp_run(P, k, X0, stop, ridge):
     W = U @ X
     cost = P.cost(X)
     trace = [cost]
-    iterations = 0
     termination = "max_iter"
-    for _ in range(stop.max_iter):
+    for sweep in range(stop.max_iter):
         rejections = 0
         for p in range(r):
             g_pp = G[p, p]
@@ -353,12 +379,11 @@ def _homp_run(P, k, X0, stop, ridge):
             X[selected, p] = z
             W[:, p] = U.take(selected, axis=1) @ z
             cost = max(cost + delta, 0.0)
-        if offer_greedy and iterations == 0:
+        if offer_greedy and sweep == 0:
             Xg = _trick_omp_codes(P, k, ridge).values
             c_greedy = P.cost(Xg)
             if c_greedy < cost:
                 X, W, cost, rejections = Xg, U @ Xg, c_greedy, 0
-        iterations += 1
         trace.append(cost)
         if stop.done(trace[-2], trace[-1]):
             termination = "tolerance"
@@ -369,13 +394,14 @@ def _homp_run(P, k, X0, stop, ridge):
                 "every column update was rejected in one sweep", RuntimeWarning
             )
             break
+    work = InnerWork(1, len(trace) - 1, int(termination == "max_iter"))
     codes = _ls_on_support(P, support_from_values(X), ridge)
     final = P.cost(codes.values)
     if final > cost:
         # numerically tied refit; keep the sweep iterate
         codes, final = SparseCodes.from_values(X), cost
     trace.append(final)
-    return codes, trace, iterations, termination
+    return codes, trace, work, termination
 
 
 def _lambda_max(M):
@@ -408,7 +434,7 @@ def _fista_core(P, prox, penalty, X0, eta, stop, H0=None):
     product at the extrapolated point ``Z = X_new + c (X_new - X)`` is
     ``H_new + c (H_new - H)``. ``H0`` is the product of ``X0`` (formed
     here when ``None``). Returns the final iterate and its product, the
-    objective trace, the iteration count and the termination reason.
+    objective trace and the :class:`InnerWork` of this one run.
     """
 
     def objective(X, H):
@@ -420,8 +446,6 @@ def _fista_core(P, prox, penalty, X0, eta, stop, H0=None):
     H = HZ = U @ X @ G if H0 is None else H0
     beta = 1.0
     trace = [objective(X, H)]
-    iterations = 0
-    termination = "max_iter"
     for _ in range(stop.max_iter):
         X_new = prox(Z - eta * (HZ - M))
         H_new = U @ X_new @ G
@@ -431,12 +455,10 @@ def _fista_core(P, prox, penalty, X0, eta, stop, H0=None):
         Z = X_new + c * (X_new - X)
         HZ = H_new + c * (H_new - H)
         X, H = X_new, H_new
-        iterations += 1
         trace.append(objective(X, H))
         if stop.done(trace[-2], trace[-1]):
-            termination = "tolerance"
-            break
-    return X, H, trace, iterations, termination
+            return X, H, trace, InnerWork(1, len(trace) - 1)
+    return X, H, trace, InnerWork(1, len(trace) - 1, 1)
 
 
 def _truncate_support(X, k):
@@ -527,11 +549,11 @@ def _proximal_solve(Y, D, B, k, X0, stop, ridge, nonneg, prox_penalty):
     def run(P):
         eta = _stepsize(P.D, P.op)
         prox, penalty = prox_penalty(P, eta)
-        X, _, trace, iterations, termination = _fista_core(
+        X, _, trace, work = _fista_core(
             P, prox, penalty, P.start(X0), eta, stop or StoppingRule()
         )
         codes = _debias(P, _truncate_support(X, k), k, nonneg, ridge)
-        return codes, trace, iterations, termination
+        return codes, trace, work, "max_iter" if work.runs_at_max_iter else "tolerance"
 
     return _solve(Y, D, B, k, run)
 

@@ -30,7 +30,13 @@ from mscdlra.linalg import (
     spectral_norm_sq,
     support_from_values,
 )
-from mscdlra.solvers import StoppingRule, _alpha_vector, _debias, _truncate_support
+from mscdlra.solvers import (
+    InnerWork,
+    StoppingRule,
+    _alpha_vector,
+    _debias,
+    _truncate_support,
+)
 from mscdlra.tensor import _exact_ls_factor, _tensor_factor_updates, _update_factor
 
 
@@ -66,12 +72,13 @@ class _ModeCoder:
         the codes there. Returns whether the cap was hit."""
         k, nonneg = self.mode.k, self.mode.nonneg
         P = _Problem(Ymat, self.mode.dictionary, op, self.U)
-        self.X_raw, self.alpha, capped, iterations, rounds = _tuned_fista(
+        self.X_raw, self.alpha, work = _tuned_fista(
             P, self.sigma_d_sq, self.alpha, k, tuner.tau, self.X_raw, stop, nonneg,
             tuner,
         )
-        self.inner_iterations += iterations
-        self.tuner_rounds += rounds
+        capped = work.tuner_capped
+        self.inner_iterations += work.iterations
+        self.tuner_rounds += work.runs
         X = self.X_raw
         S = _truncate_support(X, k) if capped else support_from_values(X)
         self.codes = _debias(P, S, k, nonneg, _INNER_RIDGE)
@@ -125,14 +132,14 @@ def reference_ao_dlra(data, model, tuner=None, l_max=100, init=None, seed=0, sto
         cost = _residual_cost(Ymat, coders[0].D, coders[0].codes.values, op0)
         cost_trace.append(cost)
         alpha_trace.append(coders[0].alpha.copy())
-        best.offer(cost, {i: c.codes.values for i, c in enumerate(coders)}, B, C)
+        best.offer(l, cost, {i: c.codes.values for i, c in enumerate(coders)}, B, C)
 
     if notes:
         warnings.warn(notes[-1], RuntimeWarning)
     return best.report(
         cost_trace, alpha_trace, l_max, notes,
-        inner_iterations=sum(coder.inner_iterations for coder in coders),
-        tuner_rounds=sum(coder.tuner_rounds for coder in coders),
+        InnerWork(runs=sum(coder.tuner_rounds for coder in coders),
+                  iterations=sum(coder.inner_iterations for coder in coders)),
     )
 
 

@@ -25,7 +25,7 @@ from mscdlra.prox import (
     nonneg_soft_threshold,
     soft_threshold,
 )
-from mscdlra.solvers import StoppingRule, _omp_gram, _solve_spd
+from mscdlra.solvers import InnerWork, StoppingRule, _omp_gram, _solve_spd
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 shapes = st.tuples(st.integers(1, 12), st.integers(1, 6))
@@ -148,11 +148,11 @@ def tuned_window_counts(X):
                         max_tuner_rounds=1)
     counts = np.zeros(r, dtype=int)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dlra, "_fista_core", lambda *args: (X, None, [], 0, "tolerance"))
+        mp.setattr(dlra, "_fista_core", lambda *args: (X, None, [], InnerWork(1)))
         for k in range(d):
-            _, alpha, capped, _, _ = dlra._tuned_fista(
+            _, alpha, work = dlra._tuned_fista(
                 P, 1.0, np.full(r, 0.5), k, 0, X, StoppingRule(), False, tuner)
-            counts += capped & (alpha == 0.5)
+            counts += work.tuner_capped & (alpha == 0.5)
     return counts
 
 

@@ -15,8 +15,8 @@ from mscdlra.dlra import (
     ipalm,
     random_init,
 )
-from mscdlra.linalg import normalize_columns
-from mscdlra.solvers import StoppingRule
+from mscdlra.linalg import normalize_columns, support_from_values
+from mscdlra.solvers import InnerWork, StoppingRule
 from mscdlra.synth import gen_codes, gen_dictionary
 
 
@@ -196,12 +196,12 @@ class TestTunedSolve:
 
         Y, D, X, B = make_dmf_instance(n=15, m=14, d=24, r=3, k=3, seed=70)
         k, tau = 3, 4
-        X_raw, alpha, warned, _, _ = _tuned_fista(
+        X_raw, alpha, work = _tuned_fista(
             _Problem(Y, D, B), spectral_norm_sq(D.matrix),
             np.full(3, 1e-2), k, tau, np.zeros((24, 3)), StoppingRule(),
             False, TunerConfig(alpha0=1e-2, tau=tau),
         )
-        if not warned:
+        if not work.tuner_capped:
             nnz = [len(s) for s in support_from_values(X_raw)]
             assert all(k <= c <= k + tau for c in nnz)
         assert np.all(alpha >= 0) and np.all(alpha <= 1)
@@ -245,6 +245,15 @@ def fit_two_mode(T, model, seed):
     return ao_dlra(T, model, TunerConfig(alpha0=1e-3, tau=3), l_max=6, seed=seed)
 
 
+def fit_dmf(seed):
+    """``ao_dlra`` on a noisy DMF instance whose tuner hits its round cap
+    on some updates."""
+    Y, D, _, _ = make_dmf_instance(n=15, m=14, d=24, r=3, k=3, seed=seed)
+    Y = Y + 0.01 * np.random.default_rng(seed).standard_normal(Y.shape)
+    model = DlraModel("matrix_factorization", 3, ModeDictionary(D, 3))
+    return ao_dlra(Y, model, TunerConfig(alpha0=1e-2, tau=2), l_max=8, seed=seed)
+
+
 def assert_same_fit(a, b):
     assert a.cost_trace == b.cost_trace and a.best_cost == b.best_cost
     assert a.best_codes.keys() == b.best_codes.keys()
@@ -266,7 +275,7 @@ class TestInnerSolves:
 
         def counted(*args):
             out = core(*args)
-            runs.append(out[3])
+            runs.append(out[3].iterations)
             return out
 
         monkeypatch.setattr(dlra, "_fista_core", counted)
@@ -277,6 +286,56 @@ class TestInnerSolves:
         monkeypatch.undo()
         rep = ipalm(T, model, l_max=3, seed=80)
         assert (rep.inner_iterations, rep.tuner_rounds) == (0, 0)
+
+    @pytest.mark.parametrize("fit", ["nndcpd", "dmf"])
+    def test_record_sums_what_the_runs_and_tuner_calls_did(self, monkeypatch, fit):
+        """``inner_work`` against the inner runs and tuner calls seen from
+        outside: its runs, iterations and runs stopped at the iteration cap
+        are those of the ``_fista_core`` runs (and ``tuner_rounds`` and
+        ``inner_iterations``); its capped count is the number of round-cap
+        notes, both modes; and each capped call counts on each side of the
+        window where a column of its iterate missed it."""
+        runs, sides = [], []
+        core, tuned = dlra._fista_core, dlra._tuned_fista
+
+        def counted(P, prox, penalty, X0, eta, stop, H0=None):
+            out = core(P, prox, penalty, X0, eta, stop, H0)
+            trace = out[2]
+            at_cap = len(trace) - 1 == stop.max_iter and not stop.done(*trace[-2:])
+            runs.append((len(trace) - 1, at_cap))
+            return out
+
+        def sided(P, sigma_d_sq, alpha, k, tau, *args):
+            X, alpha, work = tuned(P, sigma_d_sq, alpha, k, tau, *args)
+            nnz = np.array([len(s) for s in support_from_values(X)])
+            sides.append((bool(np.any(nnz < k)), bool(np.any(nnz > k + tau))))
+            return X, alpha, work
+
+        monkeypatch.setattr(dlra, "_fista_core", counted)
+        monkeypatch.setattr(dlra, "_tuned_fista", sided)
+        rep = fit_two_mode(*two_mode_nndcpd(80), 80) if fit == "nndcpd" else fit_dmf(70)
+        work = rep.inner_work
+        assert (work.iterations, work.runs) == (rep.inner_iterations, rep.tuner_rounds)
+        assert work.runs == len(runs)
+        assert work.iterations == sum(its for its, _ in runs) > 0
+        assert work.runs_at_max_iter == sum(at_cap for _, at_cap in runs)
+        capped = [side for side in sides if any(side)]
+        notes = [note for note in rep.notes if note.endswith("tuner hit the round cap")]
+        assert work.tuner_capped == len(notes) == len(capped) > 0
+        assert work.capped_below == sum(below for below, _ in capped)
+        assert work.capped_above == sum(above for _, above in capped)
+        for side in (work.capped_below, work.capped_above):
+            assert 0 <= side <= work.tuner_capped
+        assert work.capped_below + work.capped_above >= work.tuner_capped
+
+    def test_best_iteration_first_scores_the_best_cost(self):
+        T, model = two_mode_nndcpd(80)
+        for rep in (fit_two_mode(T, model, 80), fit_dmf(70)):
+            assert rep.best_iteration == rep.cost_trace.index(rep.best_cost) + 1
+        # ipalm's trace opens with the start cost, which is no iteration
+        rep = ipalm(T, model, l_max=30, seed=80)
+        assert rep.best_iteration == rep.cost_trace.index(rep.best_cost, 1)
+        assert rep.inner_work == InnerWork()
 
     @pytest.mark.parametrize("fresh", ["atom_gram", "round_product"])
     def test_reused_products_are_bit_identical(self, monkeypatch, fresh):

@@ -103,7 +103,7 @@ def test_fista_core_matches_two_product_reference(case):
     eta = _stepsize(P.D, P.op)
     prox, penalty = prox_and_penalty(name, P, eta, alpha, k)
     iterates, ref_iterates = [X0], [X0]
-    _, _, trace, _, _ = _fista_core(
+    _, _, trace, _ = _fista_core(
         P, recording(prox, iterates), penalty, X0, eta, TWENTY_FIVE
     )
     _, ref_trace = reference_fista_core(
@@ -127,7 +127,7 @@ def test_returned_product_is_fresh_and_carries_bit_identically(case):
     P, X0, name, alpha, k = case
     eta = _stepsize(P.D, P.op)
     prox, penalty = prox_and_penalty(name, P, eta, alpha, k)
-    X, H, _, _, _ = _fista_core(P, prox, penalty, X0, eta, TWENTY_FIVE)
+    X, H, _, _ = _fista_core(P, prox, penalty, X0, eta, TWENTY_FIVE)
     assert np.array_equal(H, P.U @ X @ P.G)
     # a second run from (X, H) equals the same run forming H itself
     carried = _fista_core(P, prox, penalty, X, eta, TWENTY_FIVE, H)
@@ -149,7 +149,7 @@ def test_problem_cost_scores_every_fista_iterate(case):
     eta = _stepsize(P.D, P.op)
     prox, penalty = prox_and_penalty(name, P, eta, alpha, k)
     iterates = [X0]
-    _, _, trace, _, _ = _fista_core(
+    _, _, trace, _ = _fista_core(
         P, recording(prox, iterates), penalty, X0, eta, TWENTY_FIVE
     )
     score = reference_objective(P, penalty)

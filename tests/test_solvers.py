@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import warnings
@@ -17,6 +18,7 @@ from mscdlra.linalg import (
 )
 from mscdlra.prox import hard_threshold_k, soft_threshold
 from mscdlra.solvers import (
+    InnerWork,
     StoppingRule,
     block_fista,
     check_reduction_bound,
@@ -647,6 +649,31 @@ def test_support_from_outside_is_canonicalized(name):
         with pytest.raises(ValueError,
                            match=rf"^support of column {i} has indices outside \[0, 18\)"):
             solve(S)
+
+
+def test_inner_work_adds_field_by_field():
+    a, b = InnerWork(1, 2, 3, 4, 5, 6), InnerWork(10, 20, 30, 40, 50, 60)
+    assert a + b == InnerWork(11, 22, 33, 44, 55, 66)
+    assert a + InnerWork() == a == InnerWork() + a
+    assert sum([a, b], InnerWork()) == a + b
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.runs = 0
+
+
+@pytest.mark.parametrize("name", ["fixed_support_ls", "fixed_support_nnls", "debias"])
+def test_support_from_outside_holds_integers(name):
+    """A float or boolean index is rejected with the column it sits in, not
+    truncated or read as 0 or 1; an empty column of any type stays valid."""
+    inst = boundary_instance()
+    solve = functools.partial(PUBLIC_CALLS[name], inst["Y"], inst["D"], inst["B"])
+    for S, i in (([[2.7], [], [1]], 0), ([[2], [], [True]], 2),
+                 ([[2], np.array([3.0]), np.array([1], dtype=np.uint8)], 1)):
+        with pytest.raises(ValueError,
+                           match=rf"^support of column {i} has \w+ indices, not integers"):
+            solve(S)
+    ref = solve([[2], np.array([], dtype=int), [1]])
+    got = solve([np.array([2], dtype=np.uint8), np.array([], dtype=float), [np.int32(1)]])
+    assert got.values.tobytes() == ref.values.tobytes()
 
 
 def boundary_instance():

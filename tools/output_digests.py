@@ -7,9 +7,9 @@ Usage (from the root of a checkout):
 
 Prints one ``<group> <sha256>`` line per group. A group is one method run
 on every instance of its set, in order; its digest covers every field of
-every output except ``wall_time`` (arrays by dtype, shape and bytes,
-floats by their bits), the message of every warning the call raised, and
-the error of a call that raised. Two checkouts that print the same line
+every output except those in ``SKIPPED_FIELDS`` (arrays by dtype, shape
+and bytes, floats by their bits), the message of every warning the call
+raised, and the error of a call that raised. Two checkouts that print the same line
 for a group computed the same outputs, bit for bit.
 
 Groups:
@@ -58,13 +58,18 @@ import bench_workloads as bw  # noqa: E402
 import mscdlra as pkg  # noqa: E402
 
 EXTRA_INSTANCES = 4
+# Fields left out of every digest: a solve's ``wall_time``, and the fit
+# report's ``inner_work`` and ``best_iteration``, which restate the inner
+# counts and the cost trace that the digest covers, so that lines stay
+# comparable with those printed before these two fields existed.
+SKIPPED_FIELDS = {"wall_time", "inner_work", "best_iteration"}
 
 def feed(h, obj):
     """Add ``obj`` to the hash ``h``, recursing into containers."""
     if dataclasses.is_dataclass(obj):
         h.update(type(obj).__name__.encode())
         for f in dataclasses.fields(obj):
-            if f.name != "wall_time":
+            if f.name not in SKIPPED_FIELDS:
                 h.update(f.name.encode())
                 feed(h, getattr(obj, f.name))
     elif isinstance(obj, dict):
