@@ -17,7 +17,6 @@ import math
 import numbers
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -669,6 +668,8 @@ def run_experiment(config, jobs=1, out_dir=None):
     args = [(config, cell) for cell in cells]
     table = ResultTable()
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for rows in pool.map(_execute_cell, args):
                 table.extend(rows)

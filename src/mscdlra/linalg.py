@@ -19,13 +19,18 @@ here is deterministic and reentrant.
 Every symmetric positive definite solve of the package ends in this
 module's LAPACK calls, the package's only ones: ``posv``, and ``potrf``
 with ``trtrs`` for the NNLS refit. Each caller keeps its own fallback.
+The three routines come straight from scipy's compiled LAPACK module, so
+importing the package does not load ``scipy.linalg``.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 SUPPORT_TOL = 1e-14
 
@@ -37,8 +42,46 @@ _RIDGE_SCALE = 1e-10
 # Khatri-Rao products with more rows than this are never materialized.
 _MATERIALIZE_LIMIT = 1_000_000
 
-_POSV, _POTRF, _TRTRS = scipy.linalg.get_lapack_funcs(
-    ("posv", "potrf", "trtrs"), (np.zeros(1),))
+
+def _load_flapack():
+    """scipy's compiled LAPACK module ``scipy.linalg._flapack``, loaded from
+    its file without running ``scipy.linalg``, or ``None`` when the file is
+    missing or fails to load. The module is registered under its own name,
+    so a later ``import scipy.linalg`` reuses it."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        return None
+    stem = os.path.join(scipy_spec.submodule_search_locations[0], "linalg", "_flapack")
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+             if os.path.isfile(stem + suffix)]
+    if not paths:
+        return None
+    try:
+        spec = importlib.util.spec_from_file_location(name, paths[0])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (ImportError, OSError):
+        return None
+    sys.modules[name] = module
+    return module
+
+
+def _lapack_routines():
+    """LAPACK ``dposv``, ``dpotrf`` and ``dtrtrs``: the same Fortran objects
+    that ``scipy.linalg.get_lapack_funcs`` returns for float64, taken from
+    :func:`_load_flapack`'s module, or from ``get_lapack_funcs`` itself when
+    that module cannot be loaded."""
+    flapack = _load_flapack()
+    if flapack is not None:
+        return flapack.dposv, flapack.dpotrf, flapack.dtrtrs
+    import scipy.linalg
+    return scipy.linalg.get_lapack_funcs(("posv", "potrf", "trtrs"), (np.zeros(1),))
+
+
+_POSV, _POTRF, _TRTRS = _lapack_routines()
 
 
 def _not_positive_definite(info):
@@ -284,14 +327,21 @@ def as_mixing(B):
 
 def canonical_support(S, d):
     """Canonicalize a support given from outside: sorted unique in-range
-    index arrays. A column of float or boolean indices is rejected, an
-    empty one of any type is kept. Supports built inside the package
-    already are canonical."""
+    index arrays. A non-empty column must be a flat sequence of integers:
+    a nested column, or one holding a float or boolean index (also mixed
+    among integers), is rejected; an empty one of any type is kept.
+    Supports built inside the package already are canonical."""
     out = []
     for i, idx in enumerate(S):
         a = np.asarray(idx)
-        if a.size and a.dtype.kind not in "iu":
-            raise ValueError(f"support of column {i} has {a.dtype} indices, not integers")
+        if a.size:
+            if a.ndim != 1:
+                raise ValueError(f"support of column {i} is not a flat index list")
+            # asarray upcasts [1, True] to integers, so read each entry's type
+            entries = [a] if isinstance(idx, np.ndarray) else map(np.asarray, idx)
+            bad = next((e.dtype for e in entries if e.dtype.kind not in "iu"), None)
+            if bad is not None:
+                raise ValueError(f"support of column {i} has {bad} indices, not integers")
         a = np.unique(a.astype(int))
         if a.size and (a[0] < 0 or a[-1] >= d):
             raise ValueError(f"support of column {i} has indices outside [0, {d})")

@@ -662,14 +662,18 @@ def test_inner_work_adds_field_by_field():
 
 @pytest.mark.parametrize("name", ["fixed_support_ls", "fixed_support_nnls", "debias"])
 def test_support_from_outside_holds_integers(name):
-    """A float or boolean index is rejected with the column it sits in, not
-    truncated or read as 0 or 1; an empty column of any type stays valid."""
+    """A float or boolean index, alone or among integers, and a nested
+    column are rejected with the column they sit in, not truncated, read
+    as 0 or 1 or flattened; an empty column of any type stays valid."""
     inst = boundary_instance()
     solve = functools.partial(PUBLIC_CALLS[name], inst["Y"], inst["D"], inst["B"])
-    for S, i in (([[2.7], [], [1]], 0), ([[2], [], [True]], 2),
-                 ([[2], np.array([3.0]), np.array([1], dtype=np.uint8)], 1)):
-        with pytest.raises(ValueError,
-                           match=rf"^support of column {i} has \w+ indices, not integers"):
+    for S, fault in (([[2.7], [], [1]], "column 0 has float64 indices, not integers"),
+                     ([[2], [], [True]], "column 2 has bool indices, not integers"),
+                     ([[2], np.array([3.0]), np.array([1], dtype=np.uint8)],
+                      "column 1 has float64 indices, not integers"),
+                     ([[1, True], [], [2]], "column 0 has bool indices, not integers"),
+                     ([[[1, 2]], [], [3]], "column 0 is not a flat index list")):
+        with pytest.raises(ValueError, match=rf"^support of {fault}"):
             solve(S)
     ref = solve([[2], np.array([], dtype=int), [1]])
     got = solve([np.array([2], dtype=np.uint8), np.array([], dtype=float), [np.int32(1)]])
