@@ -24,6 +24,7 @@ from .linalg import (
     Dictionary,
     MixingOperator,
     SparseCodes,
+    _check_count,
     _masked,
     _Problem,
     _residual_cost,
@@ -117,8 +118,8 @@ class TunerConfig:
     max_tuner_rounds: int = 50
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        if not self.tau >= 0:
+            raise ValueError(f"tau must be nonnegative, got {self.tau!r}")
         a = np.asarray(self.alpha0, dtype=float)
         if a.ndim > 1 or not np.all((a >= 0) & (a <= 1)):
             raise ValueError("alpha0 must lie in [0, 1], as a scalar or one per column")
@@ -126,8 +127,7 @@ class TunerConfig:
             raise ValueError("decrease_factor must be at least 1")
         if not self.increase_factor >= 1:
             raise ValueError("increase_factor must be at least 1")
-        if self.max_tuner_rounds < 0:
-            raise ValueError("max_tuner_rounds must be nonnegative")
+        _check_count(self.max_tuner_rounds, "max_tuner_rounds")
 
 
 @dataclass
@@ -187,37 +187,38 @@ def _projected_gradient_factor(F, gram, mtt, inner_iters=50, ridge=_INNER_RIDGE)
     return F
 
 
-def _tuned_fista(P, sigma_d_sq, alpha, k, tau, X_warm, stop, nonneg, tuner):
+def _tuned_fista(P, sigma_d_sq, alpha, k, X_warm, stop, nonneg, tuner):
     """Inner convex solve on the problem ``P`` re-run until each column
-    lands in [k, k + tau]. Each round is one :func:`_fista_core` run with
-    that round's columnwise l1 prox and penalty, started from the previous
-    round's iterate and its product ``U @ X @ G``.
+    lands in [k, k + tuner.tau]. Each round is one :func:`_fista_core` run
+    with that round's columnwise l1 prox and penalty, started from the
+    previous round's iterate, its product ``U @ X @ G`` and its
+    ``P.cost``, so a round scores its start by the new penalty alone.
 
-    Returns the raw (pre-debias) iterate, the adapted ratios and the
-    :class:`InnerWork` of its rounds; a call that hits the round cap
-    counts once in ``tuner_capped``, and on each side of the window where
-    a column missed it.
+    Returns the raw (pre-debias) iterate, the adapted ratios (a new array;
+    ``alpha`` is only read) and the :class:`InnerWork` of its rounds; a
+    call that hits the round cap counts once in ``tuner_capped``, and on
+    each side of the window where a column missed it.
     """
     lam_max = _lambda_max(P.M)
     eta = _stepsize(P.D, P.op, sigma_d_sq)
-    X = np.array(X_warm, dtype=float)
-    H = None
+    top = k + tuner.tau
+    X, H, cost = X_warm, None, None
     alpha = np.array(alpha, dtype=float)
 
     work = InnerWork()
     while True:
         prox, penalty = _l1_prox_penalty(eta, alpha * lam_max, nonneg)
-        X, H, _, run = _fista_core(P, prox, penalty, X, eta, stop, H)
+        X, H, cost, _, run = _fista_core(P, prox, penalty, X, eta, stop, H, cost)
         work += run
         nnz = np.count_nonzero(_support_mask(X), axis=0)
-        if np.all((k <= nnz) & (nnz <= k + tau)):
+        if np.all((k <= nnz) & (nnz <= top)):
             return X, alpha, work
         if work.runs > tuner.max_tuner_rounds:
-            below, above = int(np.any(nnz < k)), int(np.any(nnz > k + tau))
+            below, above = int(np.any(nnz < k)), int(np.any(nnz > top))
             return X, alpha, work + InnerWork(tuner_capped=1, capped_below=below,
                                               capped_above=above)
         low = nnz <= k
-        high = ~low & (nnz >= k + tau)
+        high = ~low & (nnz >= top)
         alpha[low] /= tuner.decrease_factor
         alpha[high] = np.minimum(tuner.increase_factor * alpha[high], 1.0)
 
@@ -256,11 +257,10 @@ class _ModeCoder:
         k, nonneg = self.mode.k, self.mode.nonneg
         P = _Problem(Ymat, self.mode.dictionary, op, self.U)
         self.X_raw, self.alpha, work = _tuned_fista(
-            P, self.sigma_d_sq, self.alpha, k, self.tuner.tau, self.X_raw, self.stop,
-            nonneg, self.tuner,
+            P, self.sigma_d_sq, self.alpha, k, self.X_raw, self.stop, nonneg, self.tuner
         )
         self.work += work
-        self.alpha_trace.append(self.alpha.copy())
+        self.alpha_trace.append(self.alpha)
         X = self.X_raw
         S = _truncate_support(X, k) if work.tuner_capped else support_from_values(X)
         self.codes = _debias(P, S, k, nonneg, _INNER_RIDGE)
@@ -488,8 +488,7 @@ def ao_dlra(data, model, tuner=None, l_max=100, init=None, seed=0, stop=None):
     -------
     DlraReport
     """
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
+    _check_count(l_max, "l_max", 1)
     tuner = tuner or TunerConfig()
     stop = stop or StoppingRule()
     init = random_init(data, model, seed) if init is None else init
@@ -523,10 +522,9 @@ def ipalm(data, model, l_max=1000, mu=1.0, init=None, seed=0, rel_tol=1e-8):
     is rejected, and a factor B that comes out all zero ends the fit (see
     :func:`_alternate`).
     """
-    if mu > 1.0 or mu <= 0.0:
-        raise ValueError("stepsize safeguard mu must lie in (0, 1]")
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
+    if not 0.0 < mu <= 1.0:
+        raise ValueError(f"stepsize safeguard mu must lie in (0, 1], got {mu!r}")
+    _check_count(l_max, "l_max", 1)
     stop = StoppingRule(rel_tol=rel_tol)
     init = random_init(data, model, seed) if init is None else init
     Ymat, Y2, Y3, start = _fit_data(data, model, init)
@@ -574,6 +572,7 @@ def init_by_lra(data, model, seed=0, lra_iters=100):
     """
     r = model.rank
     Y = _data_array(data, model)
+    _check_count(lra_iters, "lra_iters")
     if model.is_tensor:
         factors, _ = cpd_als(Y, r, iters=lra_iters, nonneg=model.nonneg, seed=seed)
         return _coded_init(model, factors.A, factors.B, factors.C)
@@ -648,6 +647,7 @@ def complete_missing_rows(Y_obs, D, missing_rows, rank, k, alpha=5e-3, tau=20,
     kind = "nonneg_matrix_factorization" if nonneg else "matrix_factorization"
     model = DlraModel(kind, rank, ModeDictionary(D_obs, k, nonneg))
     tuner = TunerConfig(alpha0=alpha, tau=tau)
+    _check_count(n_inits, "n_inits", 1)
 
     best_report = None
     for t in range(n_inits):

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .dictionaries import build_bspline_dictionary, build_dct2_dictionary
@@ -192,6 +191,8 @@ class ResultTable:
 
 
 def _write_meta(out_dir, config, alphas):
+    import scipy  # only for its version; importing the package does not load it
+
     with open(out_dir / "run_meta.txt", "w") as fh:
         fh.write(f"package_version={__version__}\n")
         fh.write(f"python={platform.python_version()}\n")

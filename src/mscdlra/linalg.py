@@ -26,6 +26,7 @@ importing the package does not load ``scipy.linalg``.
 import functools
 import importlib.machinery
 import importlib.util
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -125,6 +126,13 @@ def as_matrix(M, name="matrix"):
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
     return A
+
+
+def _check_count(value, name, low=0):
+    """Reject a count (an iteration cap, a number of runs) that is not an
+    integer of at least ``low``, naming it as ``name``."""
+    if not (isinstance(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ import numpy as np
 from .linalg import (
     _RIDGE_SCALE,
     SparseCodes,
+    _check_count,
     _cholesky_solve,
     _cholesky_whiten,
     _coerce_data,
@@ -68,10 +69,9 @@ class StoppingRule:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
+        if not self.rel_tol > 0:
+            raise ValueError(f"rel_tol must be positive, got {self.rel_tol!r}")
+        _check_count(self.max_iter, "max_iter")
 
     def done(self, prev, cur):
         if prev == 0.0:
@@ -184,7 +184,14 @@ def omp(y, D, k):
     support : ndarray
         Selected indices, sorted increasingly.
     """
-    return _omp_coder(dict_matrix(D), k)(y)
+    Dm = dict_matrix(D)
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size != Dm.shape[0]:
+        raise ValueError(f"y has {y.size} entries, expected {Dm.shape[0]} "
+                         "(rows of the dictionary)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y contains non-finite entries")
+    return _omp_coder(Dm, k)(y)
 
 
 def _omp_columns(A, D, k):
@@ -229,12 +236,17 @@ def check_reduction_bound(D, B, k, delta, epsilon):
     Evaluates ``(1 / s_2k) * sqrt(delta + epsilon / s_B^2)`` where
     ``s_2k`` is the smallest nonzero singular value over all 2k-column
     submatrices of the dictionary and ``s_B`` the smallest nonzero
-    singular value of the mixing factor. The submatrix sweep is
-    exhaustive and guarded to at most 1e6 combinations.
+    singular value of the mixing factor. ``k`` must lie in ``[1, d]``,
+    and ``delta`` and ``epsilon`` must be nonnegative. The submatrix
+    sweep is exhaustive and guarded to at most 1e6 combinations.
     """
     Dm = dict_matrix(D)
     op = as_mixing(B)
     d = Dm.shape[1]
+    _check_sparsity(k, d)
+    for name, value in (("delta", delta), ("epsilon", epsilon)):
+        if not value >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {value!r}")
     cols = min(2 * k, d)
     n_combos = math.comb(d, cols)
     if n_combos > 1e6:
@@ -422,43 +434,44 @@ def lambda_max_mixed(Y, D, B):
     return float(lambda_max_block(Y, D, B).sum())
 
 
-def _fista_core(P, prox, penalty, X0, eta, stop, H0=None):
+def _fista_core(P, prox, penalty, X0, eta, stop, H0=None, cost0=None):
     """Inertial proximal gradient iterations shared by the iterative solvers.
 
     The gradient comes from the Gram pieces of the problem ``P``, and
     ``prox`` maps a gradient-step point to the next iterate. Each iterate
-    is scored here, for the trace and the stopping rule: by
-    :meth:`_Problem.cost` when ``penalty`` is ``None``, else by
-    ``0.5 * P.cost(X, H) + penalty(X)``. One product ``H = U @ X @ G``
-    per iterate serves both the score and the gradient: by linearity the
-    product at the extrapolated point ``Z = X_new + c (X_new - X)`` is
-    ``H_new + c (H_new - H)``. ``H0`` is the product of ``X0`` (formed
-    here when ``None``). Returns the final iterate and its product, the
-    objective trace and the :class:`InnerWork` of this one run.
+    is scored here, for the trace and the stopping rule: by its
+    :meth:`_Problem.cost` when ``penalty`` is ``None``, else by ``0.5 *
+    P.cost(X, H) + penalty(X)``. Once the rule holds or the iteration cap
+    is reached, the run ends before extrapolating. One product ``H = U @ X
+    @ G`` per iterate serves both the score and the gradient: by linearity
+    the product at the extrapolated point ``Z = X_new + c (X_new - X)`` is
+    ``H_new + c (H_new - H)``. ``H0`` and ``cost0`` are the product and
+    ``P.cost`` of ``X0``, formed here when ``None``; ``X0`` and ``H0`` are
+    only read. Returns the final iterate, its product and its ``P.cost``,
+    the objective trace and the :class:`InnerWork` of this one run.
     """
-
-    def objective(X, H):
-        cost = P.cost(X, H)
-        return cost if penalty is None else 0.5 * cost + penalty(X)
-
     U, G, M = P.U, P.G, P.M
-    X = Z = X0.copy()
+    X = Z = X0
     H = HZ = U @ X @ G if H0 is None else H0
+    cost = P.cost(X, H) if cost0 is None else cost0
     beta = 1.0
-    trace = [objective(X, H)]
+    trace = [cost if penalty is None else 0.5 * cost + penalty(X)]
     for _ in range(stop.max_iter):
         X_new = prox(Z - eta * (HZ - M))
         H_new = U @ X_new @ G
+        cost = P.cost(X_new, H_new)
+        trace.append(cost if penalty is None else 0.5 * cost + penalty(X_new))
+        done = stop.done(trace[-2], trace[-1])
+        if done or len(trace) > stop.max_iter:
+            return X_new, H_new, cost, trace, InnerWork(1, len(trace) - 1, int(not done))
         beta_old = beta
         beta = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * beta**2))
         c = (beta_old - 1.0) / beta
         Z = X_new + c * (X_new - X)
         HZ = H_new + c * (H_new - H)
         X, H = X_new, H_new
-        trace.append(objective(X, H))
-        if stop.done(trace[-2], trace[-1]):
-            return X, H, trace, InnerWork(1, len(trace) - 1)
-    return X, H, trace, InnerWork(1, len(trace) - 1, 1)
+    # reached only with max_iter = 0: the start is the result
+    return X, H, cost, trace, InnerWork(1, 0, 1)
 
 
 def _truncate_support(X, k):
@@ -549,7 +562,7 @@ def _proximal_solve(Y, D, B, k, X0, stop, ridge, nonneg, prox_penalty):
     def run(P):
         eta = _stepsize(P.D, P.op)
         prox, penalty = prox_penalty(P, eta)
-        X, _, trace, work = _fista_core(
+        X, _, _, trace, work = _fista_core(
             P, prox, penalty, P.start(X0), eta, stop or StoppingRule()
         )
         codes = _debias(P, _truncate_support(X, k), k, nonneg, ridge)

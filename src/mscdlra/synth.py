@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .linalg import SparseCodes, normalize_columns
+from .linalg import SparseCodes, _check_count, normalize_columns
 from .solvers import StoppingRule, block_fista, mixed_fista
 
 
@@ -33,10 +33,14 @@ def gen_mixing(m, r, cond, seed):
     """Random mixing matrix with prescribed condition number.
 
     Entries are drawn Uniform[0, 1]; the singular values are then
-    replaced by values linearly spaced from 1 down to ``1 / cond``.
+    replaced by values linearly spaced from 1 down to ``1 / cond``, so
+    ``r`` may not exceed ``m``.
     """
     if cond < 1:
         raise ValueError("cond must be at least 1")
+    if r > m:
+        raise ValueError(f"mixing rank r={r} exceeds its m={m} rows, so it cannot "
+                         "have r nonzero singular values")
     rng = np.random.default_rng(seed)
     M = rng.uniform(size=(m, r))
     U, _, Vt = np.linalg.svd(M, full_matrices=False)
@@ -64,11 +68,14 @@ def add_noise_snr(Y, snr_db, seed):
     """Additive Gaussian noise scaled to an exact empirical SNR in dB.
 
     The noise is rescaled so that ``10 log10(||Y||^2 / ||E||^2)`` equals
-    ``snr_db`` exactly; ``snr_db=inf`` returns the data unchanged.
+    ``snr_db`` exactly; ``snr_db=inf`` returns the data unchanged, and
+    NaN or ``-inf`` is rejected.
     """
     Ym = np.asarray(Y, dtype=float)
-    if snr_db is None or np.isinf(snr_db):
+    if snr_db is None or snr_db == np.inf:
         return Ym.copy()
+    if not np.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite or inf (no noise), got {snr_db!r}")
     norm_y = np.linalg.norm(Ym)
     if norm_y == 0.0:
         raise ValueError("cannot target a finite SNR on zero data")
@@ -131,13 +138,15 @@ def sam(Y, Y_hat, rows=None):
 
     Each compared row pair contributes ``arccos`` of the normalized
     inner product (clamped to [-1, 1]); rows where either side is zero
-    are skipped with a warning.
+    are skipped with a warning. ``rows`` must lie in [0, number of rows).
     """
     Ym = np.asarray(Y, dtype=float)
     Hm = np.asarray(Y_hat, dtype=float)
     if Ym.shape != Hm.shape:
         raise ValueError("compared arrays must have the same shape")
     idx = np.arange(Ym.shape[0]) if rows is None else np.asarray(rows, dtype=int)
+    if np.any((idx < 0) | (idx >= Ym.shape[0])):
+        raise ValueError(f"rows holds indices outside [0, {Ym.shape[0]})")
     angles = []
     skipped = 0
     for i in idx:
@@ -175,6 +184,9 @@ def auto_alpha(params, solver, seed, grid=ALPHA_GRID, n_instances=3):
     if solver not in ("block_fista", "block_fista_nn", "mixed_fista"):
         raise ValueError(f"unsupported solver {solver!r}")
     grid = list(grid)
+    if not grid:
+        raise ValueError("grid must hold at least one ratio")
+    _check_count(n_instances, "n_instances", 1)
     middle = grid[len(grid) // 2]
     picks = []
     stop = StoppingRule()

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _cholesky_solve, _kr_factors, _kr_gram, _kr_product
+from .linalg import _check_count, _cholesky_solve, _kr_factors, _kr_gram, _kr_product
 from .solvers import StoppingRule
 
 
@@ -149,6 +149,7 @@ def cpd_als(T, r, iters=200, nonneg=False, seed=0, rel_tol=1e-8):
     T = as_tensor3(T)
     if r < 1:
         raise ValueError("rank must be at least 1")
+    _check_count(iters, "iters")
     stop = StoppingRule(rel_tol=rel_tol)
     rng = np.random.default_rng(seed)
     draw = rng.uniform if nonneg else rng.standard_normal

@@ -73,8 +73,7 @@ class _ModeCoder:
         k, nonneg = self.mode.k, self.mode.nonneg
         P = _Problem(Ymat, self.mode.dictionary, op, self.U)
         self.X_raw, self.alpha, work = _tuned_fista(
-            P, self.sigma_d_sq, self.alpha, k, tuner.tau, self.X_raw, stop, nonneg,
-            tuner,
+            P, self.sigma_d_sq, self.alpha, k, self.X_raw, stop, nonneg, tuner,
         )
         capped = work.tuner_capped
         self.inner_iterations += work.iterations

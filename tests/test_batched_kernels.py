@@ -148,10 +148,10 @@ def tuned_window_counts(X):
                         max_tuner_rounds=1)
     counts = np.zeros(r, dtype=int)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dlra, "_fista_core", lambda *args: (X, None, [], InnerWork(1)))
+        mp.setattr(dlra, "_fista_core", lambda *args: (X, None, 0.0, [], InnerWork(1)))
         for k in range(d):
             _, alpha, work = dlra._tuned_fista(
-                P, 1.0, np.full(r, 0.5), k, 0, X, StoppingRule(), False, tuner)
+                P, 1.0, np.full(r, 0.5), k, X, StoppingRule(), False, tuner)
             counts += work.tuner_capped & (alpha == 0.5)
     return counts
 

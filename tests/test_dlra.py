@@ -17,7 +17,7 @@ from mscdlra.dlra import (
 )
 from mscdlra.linalg import normalize_columns, support_from_values
 from mscdlra.solvers import InnerWork, StoppingRule
-from mscdlra.synth import gen_codes, gen_dictionary
+from mscdlra.synth import gen_codes, gen_dictionary, gen_msc_instance
 
 
 def gaussian_dictionary(n, d, seed):
@@ -83,6 +83,8 @@ class TestModelValidation:
             ("decrease_factor", 0.9),
             ("increase_factor", 0.99),
             ("max_tuner_rounds", -1),
+            ("max_tuner_rounds", 2.5),
+            ("tau", float("nan")),
         ],
     )
     def test_tuner_rejects_bad_setting(self, setting, value):
@@ -104,6 +106,40 @@ class TestModelValidation:
         model = DlraModel("matrix_factorization", 2, ModeDictionary(D, 2))
         with pytest.raises(ValueError, match="l_max"):
             fit(Y, model, l_max=0)
+
+
+class TestDegenerateArguments:
+    """Arguments that used to fail deep inside a fit, or to run without a
+    word, are rejected at entry with an error naming them."""
+
+    @staticmethod
+    def dmf_case():
+        Y, D, X, B = make_dmf_instance(n=8, m=7, d=10, r=2, k=2, seed=55)
+        return Y, DlraModel("matrix_factorization", 2, ModeDictionary(D, 2))
+
+    @pytest.mark.parametrize("fit", [ao_dlra, ipalm])
+    def test_fractional_l_max(self, fit):
+        with pytest.raises(ValueError, match="l_max"):
+            fit(*self.dmf_case(), l_max=2.5)
+
+    def test_nan_mu(self):
+        with pytest.raises(ValueError, match="mu"):
+            ipalm(*self.dmf_case(), mu=float("nan"))
+
+    @pytest.mark.parametrize("kind", ["cpd", "nonneg_matrix_factorization"])
+    def test_negative_lra_iters(self, kind):
+        rng = np.random.default_rng(5)
+        D = normalize_columns(rng.uniform(size=(6, 9)))[0]
+        data = rng.uniform(size=(6, 5, 4) if kind == "cpd" else (6, 5))
+        model = DlraModel(kind, 2, ModeDictionary(D, 2, kind.startswith("nonneg")))
+        with pytest.raises(ValueError, match="lra_iters"):
+            init_by_lra(data, model, lra_iters=-1)
+
+    def test_zero_inits(self):
+        inst = gen_msc_instance(12, 10, 18, 2, 3, 20.0, 10.0, 13)
+        with pytest.raises(ValueError, match="n_inits"):
+            complete_missing_rows(inst["Y"][2:], inst["D"], [0, 1], 3, 2, l_max=2,
+                                  n_inits=0)
 
 
 class TestAoDlra:
@@ -198,7 +234,7 @@ class TestTunedSolve:
         k, tau = 3, 4
         X_raw, alpha, work = _tuned_fista(
             _Problem(Y, D, B), spectral_norm_sq(D.matrix),
-            np.full(3, 1e-2), k, tau, np.zeros((24, 3)), StoppingRule(),
+            np.full(3, 1e-2), k, np.zeros((24, 3)), StoppingRule(),
             False, TunerConfig(alpha0=1e-2, tau=tau),
         )
         if not work.tuner_capped:
@@ -275,7 +311,7 @@ class TestInnerSolves:
 
         def counted(*args):
             out = core(*args)
-            runs.append(out[3].iterations)
+            runs.append(out[4].iterations)
             return out
 
         monkeypatch.setattr(dlra, "_fista_core", counted)
@@ -298,15 +334,16 @@ class TestInnerSolves:
         runs, sides = [], []
         core, tuned = dlra._fista_core, dlra._tuned_fista
 
-        def counted(P, prox, penalty, X0, eta, stop, H0=None):
-            out = core(P, prox, penalty, X0, eta, stop, H0)
-            trace = out[2]
+        def counted(P, prox, penalty, X0, eta, stop, H0=None, cost0=None):
+            out = core(P, prox, penalty, X0, eta, stop, H0, cost0)
+            trace = out[3]
             at_cap = len(trace) - 1 == stop.max_iter and not stop.done(*trace[-2:])
             runs.append((len(trace) - 1, at_cap))
             return out
 
-        def sided(P, sigma_d_sq, alpha, k, tau, *args):
-            X, alpha, work = tuned(P, sigma_d_sq, alpha, k, tau, *args)
+        def sided(P, sigma_d_sq, alpha, k, *args):
+            X, alpha, work = tuned(P, sigma_d_sq, alpha, k, *args)
+            tau = args[-1].tau
             nnz = np.array([len(s) for s in support_from_values(X)])
             sides.append((bool(np.any(nnz < k)), bool(np.any(nnz > k + tau))))
             return X, alpha, work
@@ -327,6 +364,29 @@ class TestInnerSolves:
         for side in (work.capped_below, work.capped_above):
             assert 0 <= side <= work.tuner_capped
         assert work.capped_below + work.capped_above >= work.tuner_capped
+
+    def test_each_iterate_is_scored_once(self, monkeypatch):
+        """A tuner call scores its start once and each inner iterate once:
+        the rounds after the first start from the cost their previous
+        round returned, so the fit calls ``_Problem.cost`` as often as it
+        runs inner iterations and tuner calls, capped calls included."""
+        calls, tuner_calls = [], []
+        cost, tuned = dlra._Problem.cost, dlra._tuned_fista
+
+        def counted(P, X, H=None):
+            calls.append(1)
+            return cost(P, X, H)
+
+        def call(*args):
+            tuner_calls.append(1)
+            return tuned(*args)
+
+        monkeypatch.setattr(dlra._Problem, "cost", counted)
+        monkeypatch.setattr(dlra, "_tuned_fista", call)
+        rep = fit_two_mode(*two_mode_nndcpd(80), 80)
+        assert rep.inner_work.tuner_capped > 0
+        assert rep.tuner_rounds > len(tuner_calls) == 2 * 6
+        assert len(calls) == rep.inner_iterations + len(tuner_calls)
 
     def test_best_iteration_first_scores_the_best_cost(self):
         T, model = two_mode_nndcpd(80)
@@ -356,7 +416,7 @@ class TestInnerSolves:
         else:
             core = dlra._fista_core
 
-            def fresh_core(P, prox, penalty, X0, eta, stop, H0=None):
+            def fresh_core(P, prox, penalty, X0, eta, stop, H0=None, cost0=None):
                 handed.append(H0 is not None)
                 return core(P, prox, penalty, X0, eta, stop)
 

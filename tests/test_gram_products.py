@@ -103,7 +103,7 @@ def test_fista_core_matches_two_product_reference(case):
     eta = _stepsize(P.D, P.op)
     prox, penalty = prox_and_penalty(name, P, eta, alpha, k)
     iterates, ref_iterates = [X0], [X0]
-    _, _, trace, _ = _fista_core(
+    _, _, _, trace, _ = _fista_core(
         P, recording(prox, iterates), penalty, X0, eta, TWENTY_FIVE
     )
     _, ref_trace = reference_fista_core(
@@ -127,14 +127,32 @@ def test_returned_product_is_fresh_and_carries_bit_identically(case):
     P, X0, name, alpha, k = case
     eta = _stepsize(P.D, P.op)
     prox, penalty = prox_and_penalty(name, P, eta, alpha, k)
-    X, H, _, _ = _fista_core(P, prox, penalty, X0, eta, TWENTY_FIVE)
+    X, H, cost, _, _ = _fista_core(P, prox, penalty, X0, eta, TWENTY_FIVE)
     assert np.array_equal(H, P.U @ X @ P.G)
-    # a second run from (X, H) equals the same run forming H itself
-    carried = _fista_core(P, prox, penalty, X, eta, TWENTY_FIVE, H)
+    assert cost == P.cost(X, H)
+    # a second run from (X, H, cost) equals the same run forming H and
+    # the cost itself
+    carried = _fista_core(P, prox, penalty, X, eta, TWENTY_FIVE, H, cost)
     fresh = _fista_core(P, prox, penalty, X, eta, TWENTY_FIVE)
     assert np.array_equal(carried[0], fresh[0])
     assert np.array_equal(carried[1], fresh[1])
     assert carried[2:] == fresh[2:]
+
+
+@settings(max_examples=40)
+@given(fista_problems())
+def test_fista_core_only_reads_its_start(case):
+    """The start iterate and its product are not copied, so the run must
+    leave their bytes as they were, whichever prox it runs."""
+    P, X0, name, alpha, k = case
+    eta = _stepsize(P.D, P.op)
+    prox, penalty = prox_and_penalty(name, P, eta, alpha, k)
+    H0 = P.U @ X0 @ P.G
+    before = X0.tobytes(), H0.tobytes()
+    for stop in (TWENTY_FIVE, StoppingRule(1e-6, 0)):
+        _fista_core(P, prox, penalty, X0, eta, stop)
+        _fista_core(P, prox, penalty, X0, eta, stop, H0, P.cost(X0, H0))
+        assert (X0.tobytes(), H0.tobytes()) == before
 
 
 @settings(max_examples=60)
@@ -149,7 +167,7 @@ def test_problem_cost_scores_every_fista_iterate(case):
     eta = _stepsize(P.D, P.op)
     prox, penalty = prox_and_penalty(name, P, eta, alpha, k)
     iterates = [X0]
-    _, _, trace, _ = _fista_core(
+    _, _, _, trace, _ = _fista_core(
         P, recording(prox, iterates), penalty, X0, eta, TWENTY_FIVE
     )
     score = reference_objective(P, penalty)

@@ -1,6 +1,7 @@
-"""Start-up cost: importing the package loads neither ``scipy.linalg`` nor
-the process pool, and ``scipy.optimize`` and ``scipy.interpolate`` load
-only when a call needs them. Each probe runs in a fresh interpreter."""
+"""Start-up cost: importing the package loads neither the top-level
+``scipy`` package, ``scipy.linalg`` nor the process pool, and
+``scipy.optimize`` and ``scipy.interpolate`` load only when a call needs
+them. Each probe runs in a fresh interpreter."""
 
 import json
 import os
@@ -40,7 +41,8 @@ import numpy as np
 import mscdlra, mscdlra.experiments
 from mscdlra import DlraModel, ModeDictionary, TunerConfig
 
-seen = {"after_import": [m for m in ("scipy.linalg", "concurrent.futures.process")
+seen = {"after_import": [m for m in ("scipy", "scipy.linalg",
+                                      "concurrent.futures.process")
                          if m in sys.modules]}
 inst = mscdlra.gen_msc_instance(12, 10, 18, 2, 3, 20.0, 10.0, 13)
 Y, D, B = inst["Y"], inst["D"], inst["B"]
@@ -48,8 +50,9 @@ S = [[1, 2], [], [3]]
 solves = [
     mscdlra.trick_omp(Y, D, B, 2), mscdlra.iht(Y, D, B, 2), mscdlra.homp(Y, D, B, 2),
     mscdlra.block_fista(Y, D, B, 0.1, 2), mscdlra.mixed_fista(Y, D, B, 0.1, 2),
-    mscdlra.fixed_support_ls(Y, D, B, S), mscdlra.debias(Y, D, B, S, 2),
 ]
+seen["scipy_after_heuristics"] = "scipy" in sys.modules
+solves += [mscdlra.fixed_support_ls(Y, D, B, S), mscdlra.debias(Y, D, B, S, 2)]
 model = DlraModel("matrix_factorization", 3, ModeDictionary(D, 2))
 fits = [mscdlra.ao_dlra(Y, model, TunerConfig(tau=4), l_max=3, seed=1),
         mscdlra.ipalm(Y, model, l_max=3, seed=1)]
@@ -59,6 +62,19 @@ fits.append(mscdlra.ao_dlra(T, cpd, TunerConfig(tau=4), l_max=2, seed=1))
 seen["finite"] = all(np.isfinite(f.best_cost) for f in fits)
 seen["after_calls"] = "scipy.linalg" in sys.modules
 print(json.dumps(seen))
+"""
+
+# The run record still names the scipy version, importing scipy to read it.
+RUN_META = """
+import json, pathlib, tempfile
+import mscdlra.experiments as ex
+
+with tempfile.TemporaryDirectory() as out:
+    ex._write_meta(pathlib.Path(out), ex.default_config("noise_sweep", alpha=0.01), {})
+    lines = (pathlib.Path(out) / "run_meta.txt").read_text().splitlines()
+import scipy
+print(json.dumps({"scipy_line": [line for line in lines if line.startswith("scipy=")],
+                  "version": "scipy=" + scipy.__version__}))
 """
 
 # Once scipy.optimize has loaded scipy.linalg, its LAPACK module is the one
@@ -138,13 +154,19 @@ def test_import_defers_optimize_and_interpolate():
 
 
 def test_signed_solves_and_fits_never_load_scipy_linalg():
-    """A fresh ``import mscdlra, mscdlra.experiments`` loads neither
-    ``scipy.linalg`` nor the process pool. The five heuristics,
-    ``fixed_support_ls``, ``debias`` and signed DMF (``ao_dlra``,
-    ``ipalm``) and CPD fits then run on the LAPACK routines the package
-    loaded itself."""
+    """A fresh ``import mscdlra, mscdlra.experiments`` loads neither the
+    top-level ``scipy``, ``scipy.linalg`` nor the process pool, and the
+    five heuristics load no ``scipy`` either. They, ``fixed_support_ls``,
+    ``debias`` and signed DMF (``ao_dlra``, ``ipalm``) and CPD fits then
+    run on the LAPACK routines the package loaded itself."""
     seen = run_probe(SIGNED_CALLS)
-    assert seen == {"after_import": [], "finite": True, "after_calls": False}
+    assert seen == {"after_import": [], "scipy_after_heuristics": False,
+                    "finite": True, "after_calls": False}
+
+
+def test_run_meta_records_the_scipy_version():
+    seen = run_probe(RUN_META)
+    assert seen["scipy_line"] == [seen["version"]]
 
 
 def test_scipy_linalg_reuses_the_loaded_lapack_module():

@@ -209,6 +209,18 @@ class TestReductionBound:
             expected, rel=1e-10
         )
 
+    def test_zero_sparsity_rejected(self):
+        inst = gen_msc_instance(12, 10, 18, 2, 3, 20.0, 10.0, 13)
+        with pytest.raises(ValueError, match="k=0"):
+            check_reduction_bound(inst["D"], inst["B"], 0, 0.1, 0.1)
+
+    @pytest.mark.parametrize("delta, epsilon, name", [
+        (-5.0, 0.0, "delta"), (float("nan"), 0.0, "delta"), (0.1, -1e-3, "epsilon"),
+    ])
+    def test_negative_or_nan_slack_rejected(self, delta, epsilon, name):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            check_reduction_bound(np.eye(4), np.eye(2), 1, delta, epsilon)
+
     def test_enumeration_guard(self):
         with pytest.raises(ValueError, match="infeasible"):
             check_reduction_bound(np.ones((5, 60)) / np.sqrt(5), np.eye(2), 10, 0, 0)
@@ -555,6 +567,30 @@ def test_stopping_rule_validation():
         StoppingRule(rel_tol=0.0)
     with pytest.raises(ValueError, match="max_iter"):
         StoppingRule(max_iter=-1)
+
+
+def test_stopping_rule_rejects_a_fractional_cap():
+    with pytest.raises(ValueError, match="max_iter"):
+        StoppingRule(1e-6, 2.5)
+
+
+def test_stopping_rule_rejects_a_nan_tolerance():
+    with pytest.raises(ValueError, match="rel_tol"):
+        StoppingRule(rel_tol=float("nan"))
+
+
+def test_omp_rejects_data_of_the_wrong_length():
+    inst = gen_msc_instance(12, 10, 18, 2, 3, 20.0, 10.0, 13)
+    with pytest.raises(ValueError, match="y has 5 entries, expected 12"):
+        omp(np.ones(5), inst["D"], 2)
+
+
+def test_omp_rejects_non_finite_data():
+    inst = gen_msc_instance(12, 10, 18, 2, 3, 20.0, 10.0, 13)
+    y = inst["Y"][:, 0].copy()
+    y[3] = np.nan
+    with pytest.raises(ValueError, match="y contains non-finite entries"):
+        omp(y, inst["D"], 2)
 
 
 @pytest.mark.parametrize("solve", [

@@ -143,6 +143,29 @@ class TestAutoAlpha:
         with pytest.raises(ValueError):
             auto_alpha(self.PARAMS, "homp", seed=0)
 
+    def test_no_instances_rejected(self):
+        with pytest.raises(ValueError, match="n_instances"):
+            auto_alpha(self.PARAMS, "block_fista", seed=0, n_instances=0)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid"):
+            auto_alpha(self.PARAMS, "block_fista", seed=0, grid=())
+
+
+class TestDegenerateArguments:
+    def test_mixing_rank_above_its_rows(self):
+        with pytest.raises(ValueError, match="r=5 exceeds its m=3 rows"):
+            gen_mixing(3, 5, 10.0, 1)
+
+    def test_sam_rows_outside_the_data(self):
+        Y = gen_msc_instance(12, 10, 18, 2, 3, 20.0, 10.0, 13)["Y"]
+        with pytest.raises(ValueError, match="rows"):
+            sam(Y, Y, rows=[100])
+
+    def test_nan_snr(self):
+        with pytest.raises(ValueError, match="snr_db"):
+            add_noise_snr(np.ones((3, 4)), float("nan"), 0)
+
 
 def test_derive_seed_is_stable_and_keyed():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)

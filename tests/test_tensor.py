@@ -167,6 +167,11 @@ class TestCpdAls:
         with pytest.raises(ValueError):
             cpd_als(np.ones((2, 2, 2)), r=0)
 
+    @pytest.mark.parametrize("iters", [2.5, -1])
+    def test_sweep_count_validation(self, iters):
+        with pytest.raises(ValueError, match="iters"):
+            cpd_als(np.ones((2, 2, 2)), r=1, iters=iters)
+
     @given(
         st.integers(1, 7), st.integers(1, 7), st.integers(1, 7), st.integers(1, 4),
         st.integers(0, 40), st.booleans(), st.integers(0, 2**32 - 1),
